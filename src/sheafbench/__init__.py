@@ -52,7 +52,6 @@ from .spaces import (
     TruncatedSpace,
     baire_space,
     bar_from_generators,
-    cantor_cover_test,
     cantor_space,
     kfinite_subcover,
 )
@@ -82,7 +81,6 @@ __all__ = [
     "bo_sheaf_checks",
     "build_double",
     "canonical_maps",
-    "cantor_cover_test",
     "cantor_space",
     "cc_refine",
     "check_continuous_map",

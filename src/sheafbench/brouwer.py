@@ -285,11 +285,6 @@ class LabelledTree:
         return None
 
 
-def _disjoint(basis, a, b) -> bool:
-    below = set(basis.down(a))
-    return not any(x in below for x in basis.down(b))
-
-
 def labelled_tree(
     space: FormalSpace,
     branch: int,
@@ -319,7 +314,7 @@ def labelled_tree(
         if not basis.leq(q, root):
             raise NotBelowRoot(q, root)
     for a, b in itertools.combinations(pieces, 2):
-        if not _disjoint(basis, a, b):
+        if not basis.disjoint(a, b):
             raise ValueError(f"pieces {a!r} and {b!r} overlap")
     cover = Sieve.from_generators(basis, root, pieces)
     if not space.topology.cover(root, cover).covered:
@@ -373,7 +368,7 @@ def restrict_tree(space: FormalSpace, branch: int, tree: LabelledTree, q) -> Lab
         for x in basis.down(q)
         if any(basis.leq(x, a) for a in tree.pieces)
     ]
-    refined = cc_refine(space, q, Sieve.from_members(basis, q, visible))
+    refined = cc_refine(space, q, Sieve.from_generators(basis, q, visible))
     pieces, flags, children = [], [], {}
     for r in refined:
         a = tree.piece_over(basis, r)
@@ -427,7 +422,7 @@ def tree_equiv(space: FormalSpace, branch: int, v: LabelledTree, w: LabelledTree
         ):
             continue
         good.append(r)
-    sieve = Sieve.from_members(basis, v.root, good)
+    sieve = Sieve.from_generators(basis, v.root, good)
     out = space.topology.cover(v.root, sieve).covered
     memo[key] = out
     return out
@@ -442,7 +437,7 @@ def disjoint_covers(space: FormalSpace, p, cap: int = 4096) -> tuple:
     out = []
     for size in range(1, len(fragment) + 1):
         for combo in itertools.combinations(fragment, size):
-            if all(_disjoint(basis, a, b) for a, b in itertools.combinations(combo, 2)):
+            if all(basis.disjoint(a, b) for a, b in itertools.combinations(combo, 2)):
                 sieve = Sieve.from_generators(basis, p, combo)
                 if space.topology.cover(p, sieve).covered:
                     out.append(tuple(sorted(combo, key=element_key)))

@@ -17,7 +17,7 @@ from .forcing import FuelExhausted, force, standard_model
 from .jsonio import InputError, bar_from_json, dump_report, jsonable, load_json, parse_element, rel_from_json, space_from_json
 from .suites import CHECK_SUITES
 
-SUITE_NAMES = ("topology", "forcing", "sheaves", "brouwer", "alt-baire")
+SUITE_NAMES = tuple(CHECK_SUITES)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,69 +103,59 @@ def _run_force(args: argparse.Namespace):
     return verdicts, witness, verdict == "Holds"
 
 
-def _transcript_witness(transcript) -> list:
-    return [jsonable(transcript)]
-
-
-def _run_fan(args: argparse.Namespace):
-    bar = _load_bar(args)
-    try:
-        n, transcript = rules.fan_rule(bar, fuel=args.fuel)
-    except FuelExhausted as err:
-        return ([{"check": "fan", "verdict": "FuelExhausted"}],
-                [{"error": type(err).__name__, "detail": str(err)}], False)
-    except ValueError as err:
-        return ([{"check": "fan", "verdict": "Fails",
-                  "error": type(err).__name__}],
-                [{"error": type(err).__name__, "detail": str(err)}], False)
-    failed = rules.recheck_transcript(transcript, fuel=args.fuel)
-    verdicts = [{"check": "fan", "verdict": "Holds" if not failed else "Fails",
-                 "n": n, "recheck_failures": list(failed)}]
-    return verdicts, _transcript_witness(transcript), not failed
-
-
-def _run_bar(args: argparse.Namespace):
-    bar = _load_bar(args)
-    try:
-        concluded, transcript = rules.bar_rule(bar, fuel=args.fuel)
-    except FuelExhausted as err:
-        return ([{"check": "bar", "verdict": "FuelExhausted"}],
-                [{"error": type(err).__name__, "detail": str(err)}], False)
-    except ValueError as err:
-        return ([{"check": "bar", "verdict": "Fails",
-                  "error": type(err).__name__}],
-                [{"error": type(err).__name__, "detail": str(err)}], False)
-    failed = rules.recheck_transcript(transcript, fuel=args.fuel)
-    ok = bool(concluded) and not failed
-    verdicts = [{"check": "bar", "verdict": "Holds" if ok else "Fails",
-                 "recheck_failures": list(failed)}]
-    return verdicts, _transcript_witness(transcript), ok
-
-
-def _run_continuity(args: argparse.Namespace):
+def _load_rel(args: argparse.Namespace):
     data = load_json(args.rel)
     if args.space is not None:
         if not isinstance(data, dict):
             raise InputError("the relation file must hold an object")
         data = dict(data, space=load_json(args.space))
-    space, table = rel_from_json(data)
-    try:
-        f, modulus, transcript = rules.continuity_rule(table, space, fuel=args.fuel)
-    except FuelExhausted as err:
-        return ([{"check": "continuity", "verdict": "FuelExhausted"}],
-                [{"error": type(err).__name__, "detail": str(err)}], False)
-    except ValueError as err:
-        return ([{"check": "continuity", "verdict": "Fails",
-                  "error": type(err).__name__}],
-                [{"error": type(err).__name__, "detail": str(err)}], False)
-    failed = rules.recheck_transcript(transcript, fuel=args.fuel)
+    return rel_from_json(data)
+
+
+def _fan(bar, fuel):
+    n, transcript = rules.fan_rule(bar, fuel=fuel)
+    return transcript, True, {"n": n}
+
+
+def _bar(bar, fuel):
+    concluded, transcript = rules.bar_rule(bar, fuel=fuel)
+    return transcript, bool(concluded), {}
+
+
+def _continuity(rel, fuel):
+    space, table = rel
+    _f, modulus, transcript = rules.continuity_rule(table, space, fuel=fuel)
     moduli = sorted(
         ([jsonable(alpha), k, m] for (alpha, k), m in modulus.items()),
         key=lambda row: (row[1], str(row[0])),
     )
-    verdicts = [{"check": "continuity", "verdict": "Holds" if not failed else "Fails",
-                 "recheck_failures": list(failed), "modulus": moduli}]
-    return verdicts, _transcript_witness(transcript), not failed
+    return transcript, True, {"modulus": moduli}
+
+
+# rule subcommand -> (read its input from the arguments, run the rule on it
+# and return its transcript, whether it concluded, and extra verdict fields)
+_RULES = {
+    "fan": (_load_bar, _fan),
+    "bar": (_load_bar, _bar),
+    "continuity": (_load_rel, _continuity),
+}
+
+
+def _run_rule(args: argparse.Namespace):
+    load, extract = _RULES[args.command]
+    data = load(args)
+    try:
+        transcript, concluded, fields = extract(data, args.fuel)
+    except FuelExhausted as err:
+        return [{"check": args.command, "verdict": "FuelExhausted"}], [jsonable(err)], False
+    except ValueError as err:
+        return ([{"check": args.command, "verdict": "Fails", "error": type(err).__name__}],
+                [jsonable(err)], False)
+    failed = rules.recheck_transcript(transcript, fuel=args.fuel)
+    ok = concluded and not failed
+    verdicts = [{"check": args.command, "verdict": "Holds" if ok else "Fails",
+                 "recheck_failures": list(failed), **fields}]
+    return verdicts, [jsonable(transcript)], ok
 
 
 def _run_check(args: argparse.Namespace):
@@ -176,13 +166,7 @@ def _run_check(args: argparse.Namespace):
     return verdicts, [jsonable(w) for w in result.witnesses], result.passed
 
 
-_RUNNERS = {
-    "force": _run_force,
-    "fan": _run_fan,
-    "bar": _run_bar,
-    "continuity": _run_continuity,
-    "check": _run_check,
-}
+_RUNNERS = {"force": _run_force, "check": _run_check, **dict.fromkeys(_RULES, _run_rule)}
 
 
 def _render(report: dict, ok: bool) -> str:

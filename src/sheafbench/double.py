@@ -19,7 +19,7 @@ from .site import (
     Sieve,
     Topology,
 )
-from .points import Point, PointCheck, is_point, point_members
+from .points import Point, is_point, point_members
 from .maps import ContinuousMap, discrete_space
 from .spaces import TruncatedSpace
 
@@ -74,7 +74,7 @@ class DoubleTopology(Topology):
             v for v in self.inner.basis.down(x.seq)
             if sieve.contains(DOpen(v))
         ]
-        inner_sieve = Sieve.from_members(self.inner.basis, x.seq, dpart)
+        inner_sieve = Sieve.from_generators(self.inner.basis, x.seq, dpart)
         res = self.inner.topology.cover(x.seq, inner_sieve, fuel=fuel)
         return CoverResult(
             res.covered,

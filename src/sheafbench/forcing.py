@@ -257,18 +257,11 @@ def _force(run: _Run, stage, node, env: dict) -> bool:
         out = bool(impl(model, stage, args))
     elif isinstance(node, F.And):
         out = _force(run, stage, node.left, env) and _force(run, stage, node.right, env)
-    elif isinstance(node, F.Or):
+    elif isinstance(node, (F.Or, F.Exists)):
         good = _zone(run, node, env)
         members = [v for v in basis.down(stage) if v in good]
-        out = topology.cover(stage, Sieve.from_members(basis, stage, members)).covered
-    elif isinstance(node, F.Implies):
-        bad = _zone(run, node, env)
-        out = not any(v in bad for v in basis.down(stage))
-    elif isinstance(node, F.Exists):
-        good = _zone(run, node, env)
-        members = [v for v in basis.down(stage) if v in good]
-        out = topology.cover(stage, Sieve.from_members(basis, stage, members)).covered
-    elif isinstance(node, F.Forall):
+        out = topology.cover(stage, Sieve.from_generators(basis, stage, members)).covered
+    elif isinstance(node, (F.Implies, F.Forall)):
         bad = _zone(run, node, env)
         out = not any(v in bad for v in basis.down(stage))
     else:
@@ -306,28 +299,19 @@ def _zone(run: _Run, node, env: dict) -> frozenset:
             for v in elements
             if _force(run, v, node.left, env) and not _force(run, v, node.right, env)
         )
-    elif isinstance(node, F.Exists):
+    elif isinstance(node, (F.Exists, F.Forall)):
+        # elements with a witness (Exists) or a counterexample (Forall)
         universe = model.universe(node.sort)
-        members = []
+        wanted = isinstance(node, F.Exists)
+        hits = []
         for v in elements:
             inner_env = dict(env)
             for c in universe:
                 inner_env[node.var] = (node.sort, c)
-                if _force(run, v, node.body, inner_env):
-                    members.append(v)
+                if _force(run, v, node.body, inner_env) == wanted:
+                    hits.append(v)
                     break
-        got = frozenset(members)
-    elif isinstance(node, F.Forall):
-        universe = model.universe(node.sort)
-        bad = []
-        for v in elements:
-            inner_env = dict(env)
-            for c in universe:
-                inner_env[node.var] = (node.sort, c)
-                if not _force(run, v, node.body, inner_env):
-                    bad.append(v)
-                    break
-        got = frozenset(bad)
+        got = frozenset(hits)
     else:
         raise ModelError(f"no zone for {node!r}")
 
@@ -405,7 +389,7 @@ def app_atom(model, stage, args) -> bool:
 
     basis = model.space.basis
     members = [v for v in basis.down(stage) if seen(v)]
-    sieve = Sieve.from_members(basis, stage, members)
+    sieve = Sieve.from_generators(basis, stage, members)
     return model.space.topology.cover(stage, sieve).covered
 
 
@@ -609,10 +593,6 @@ class NoRefinementFound(ValueError):
     """No finite disjoint subfamily of the sieve covers the open."""
 
 
-def _disjoint(basis, a, b) -> bool:
-    return not (set(basis.down(a)) & set(basis.down(b)))
-
-
 def cc_refine(space: FormalSpace, a, sieve: Sieve) -> tuple:
     """Canonical finite disjoint subfamily of a covering sieve.
 
@@ -623,13 +603,13 @@ def cc_refine(space: FormalSpace, a, sieve: Sieve) -> tuple:
     disjoint subfamilies.
     """
     if not space.topology.cover(a, sieve).covered:
-        raise NotACover(a, sieve.generators)
+        raise NotACover(f"{sieve!r} does not cover {a!r}")
 
     if isinstance(space, DoubleSpace):
         if isinstance(a, SingletonOpen):
             return (a,)
         inner = space.inner
-        inner_sieve = Sieve.from_members(
+        inner_sieve = Sieve.from_generators(
             inner.basis,
             a.seq,
             [v for v in inner.basis.down(a.seq) if sieve.contains(DOpen(v))],
@@ -641,7 +621,7 @@ def cc_refine(space: FormalSpace, a, sieve: Sieve) -> tuple:
             if sieve.contains(u):
                 return (u,)
             if len(u) >= space.depth:
-                raise NotACover(a, sieve.generators)
+                raise NotACover(f"{sieve!r} does not cover {a!r}")
             pieces = []
             for i in range(space.branch):
                 pieces.extend(descend(u + (i,)))
@@ -654,11 +634,11 @@ def cc_refine(space: FormalSpace, a, sieve: Sieve) -> tuple:
     for size in range(1, len(members) + 1):
         for combo in itertools.combinations(members, size):
             if any(
-                not _disjoint(basis, x, y)
+                not basis.disjoint(x, y)
                 for x, y in itertools.combinations(combo, 2)
             ):
                 continue
-            if space.topology.cover(a, Sieve.from_members(basis, a, combo)).covered:
+            if space.topology.cover(a, Sieve.from_generators(basis, a, combo)).covered:
                 return combo
     raise NoRefinementFound(f"no disjoint refinement below {a!r}")
 
@@ -694,7 +674,7 @@ def choice_amalgamation(
     basis = space.basis
     pieces = sorted(witnesses, key=element_key)
     for x, y in itertools.combinations(pieces, 2):
-        if not _disjoint(basis, x, y):
+        if not basis.disjoint(x, y):
             raise NotDisjoint(f"{x!r} and {y!r} overlap")
     sieve = Sieve.from_generators(basis, root, pieces)
     if not space.topology.cover(root, sieve).covered:

@@ -29,6 +29,12 @@ class InputError(ValueError):
     """A JSON input document that does not describe a valid object."""
 
 
+# Most elements a JSON description may ask a space or a point family to hold.
+# Both grow exponentially with depth and are built eagerly, so a larger
+# request is refused before anything is built.
+MAX_ELEMENTS = 2048
+
+
 def _require(data: Mapping, key: str, where: str):
     if key not in data:
         raise InputError(f"{where}: missing required key {key!r}")
@@ -39,9 +45,41 @@ def _int(data: Mapping, key: str, where: str, default=None, minimum=1) -> int:
     got = data.get(key, default)
     if got is None:
         raise InputError(f"{where}: missing required key {key!r}")
-    if not isinstance(got, int) or got < minimum:
+    if not isinstance(got, int) or isinstance(got, bool) or got < minimum:
         raise InputError(f"{where}: {key} must be an integer >= {minimum}")
     return got
+
+
+def _point_count(branch: int, max_prefix: int) -> int:
+    """Eventually constant points with prefixes up to ``max_prefix``, exact up to the limit."""
+    return branch ** (min(max_prefix, MAX_ELEMENTS) + 1)
+
+
+def _basis_size(data: Mapping) -> int:
+    """Element count of a tree space or double description, exact up to the limit."""
+    if data["kind"] == "double":
+        inner = _require(data, "inner", "space")
+        if not isinstance(inner, Mapping) or inner.get("kind") not in ("cantor", "baire"):
+            raise InputError("space: a double needs a tree space inside")
+        branch = 2 if inner["kind"] == "cantor" else _int(inner, "branch", "space")
+        max_prefix = _int(data, "max_prefix", "space", default=1)
+        return _basis_size(inner) + _point_count(branch, max_prefix)
+    branch = 2 if data["kind"] == "cantor" else _int(data, "branch", "space")
+    size, level = 0, 1
+    for _ in range(_int(data, "depth", "space") + 1):
+        size, level = size + level, level * branch
+        if size > MAX_ELEMENTS:
+            break
+    return size
+
+
+def _names(values, where: str) -> tuple:
+    """A JSON list of element names: strings or integers."""
+    if not isinstance(values, list) or not all(
+        isinstance(v, (str, int)) and not isinstance(v, bool) for v in values
+    ):
+        raise InputError(f"{where}: expected a list of strings or integers")
+    return tuple(values)
 
 
 def space_from_json(data: Mapping) -> FormalSpace:
@@ -52,24 +90,26 @@ def space_from_json(data: Mapping) -> FormalSpace:
     (explicit elements, order pairs, covering families).
     """
     kind = _require(data, "kind", "space")
+    if kind in ("cantor", "baire", "double") and _basis_size(data) > MAX_ELEMENTS:
+        raise InputError(f"space: more than {MAX_ELEMENTS} elements requested")
     if kind == "cantor":
         return cantor_space(_int(data, "depth", "space"))
     if kind == "baire":
         return baire_space(_int(data, "branch", "space"), _int(data, "depth", "space"))
     if kind == "double":
-        inner = space_from_json(_require(data, "inner", "space"))
-        if not isinstance(inner, TruncatedSpace):
-            raise InputError("space: a double needs a tree space inside")
+        inner = space_from_json(data["inner"])
         max_prefix = _int(data, "max_prefix", "space", default=1)
         return build_double(inner, eventually_constant_points(inner.branch, max_prefix))
     if kind == "finite":
-        elements = tuple(_require(data, "elements", "space"))
+        elements = _names(_require(data, "elements", "space"), "space: elements")
         if len(set(elements)) != len(elements):
             raise InputError("space: elements must be distinct")
-        pairs = {(a, b) for a, b in data.get("leq", [])}
+        pairs = {_names(pair, "space: leq entry") for pair in data.get("leq", [])}
+        if not all(len(pair) == 2 and set(pair) <= set(elements) for pair in pairs):
+            raise InputError("space: leq entries must be pairs of elements")
         below: dict = {a: {a} for a in elements}
         for a, b in pairs:
-            below.setdefault(b, set()).add(a)
+            below[b].add(a)
         changed = True
         while changed:
             changed = False
@@ -82,7 +122,7 @@ def space_from_json(data: Mapping) -> FormalSpace:
                     changed = True
         basis = Basis(elements, lambda x, y: x in below[y])
         table = {
-            a: tuple(tuple(fam) for fam in fams)
+            a: tuple(_names(fam, "space: covers") for fam in fams)
             for a, fams in data.get("covers", {}).items()
         }
         try:
@@ -105,10 +145,7 @@ def bar_from_json(data: Mapping) -> Bar:
         if not monotone:
             raise InputError("bar: generator form always yields a monotone bar")
         gens = {tuple(g) for g in data["generators"]}
-        bar = bar_from_generators(space, gens, monotone=True)
-        if inductive:
-            bar = Bar(space, bar.predicate, monotone=True, inductive=True)
-        return bar
+        return bar_from_generators(space, gens, monotone=True, inductive=inductive)
     members = {tuple(m) for m in _require(data, "members", "bar")}
     for m in members:
         try:
@@ -142,6 +179,8 @@ def rel_from_json(data: Mapping) -> tuple:
         raise InputError("rel: relation tables live over tree spaces")
     branch = space.branch
     max_prefix = _int(data, "max_prefix", "rel", default=space.depth + 1)
+    if _point_count(branch, max_prefix) > MAX_ELEMENTS:
+        raise InputError(f"rel: more than {MAX_ELEMENTS} points requested")
     points = eventually_constant_points(branch, max_prefix)
     builtin = data.get("builtin")
     if builtin == "identity":

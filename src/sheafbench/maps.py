@@ -94,7 +94,7 @@ def _saturate(source: FormalSpace, target: FormalSpace, seed: set) -> set:
             for a in source.basis.elements:
                 if a in fiber:
                     continue
-                below = Sieve.from_members(
+                below = Sieve.from_generators(
                     source.basis, a, [p for p in fiber if source.basis.leq(p, a)]
                 )
                 if source.topology.cover(a, below).covered:
@@ -135,7 +135,7 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
 
     for p in src.basis.elements:
         defined = [p2 for p2 in src.basis.down(p) if fmap.image(p2)]
-        s = Sieve.from_members(src.basis, p, defined)
+        s = Sieve.from_generators(src.basis, p, defined)
         if not src.topology.cover(p, s).covered:
             if report(2, (p,)):
                 return MapCheck(False, tuple(failures))
@@ -152,7 +152,7 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
                         for w in fmap.image(p2)
                     )
                 ]
-                s = Sieve.from_members(src.basis, p, refined)
+                s = Sieve.from_generators(src.basis, p, refined)
                 if not src.topology.cover(p, s).covered:
                     if report(3, (p, q1, q2)):
                         return MapCheck(False, tuple(failures))
@@ -168,7 +168,7 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
                         for q2 in fmap.image(p2)
                     )
                 ]
-                s = Sieve.from_members(src.basis, p, pulled)
+                s = Sieve.from_generators(src.basis, p, pulled)
                 if not src.topology.cover(p, s).covered:
                     if report(4, (p, q, fam)):
                         return MapCheck(False, tuple(failures))
@@ -180,7 +180,7 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
         for a in src.basis.elements:
             if a in fiber:
                 continue
-            below = Sieve.from_members(
+            below = Sieve.from_generators(
                 src.basis, a, [p for p in fiber if src.basis.leq(p, a)]
             )
             if src.topology.cover(a, below).covered:
@@ -195,7 +195,7 @@ def identity_map(space: FormalSpace) -> ContinuousMap:
     pairs = set()
     for p in space.basis.elements:
         for q in space.basis.elements:
-            below = Sieve.from_members(
+            below = Sieve.from_generators(
                 space.basis, p, [r for r in space.basis.down(p) if space.basis.leq(r, q)]
             )
             if space.topology.cover(p, below).covered:

@@ -7,12 +7,11 @@ for pointhood, which is how defective candidates are rejected.
 """
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterable
 
 from .site import Basis, CoverResult, FormalSpace, Sieve, Topology, element_key
-from .spaces import TruncatedSpace
+from .spaces import TruncatedSpace, all_sequences
 
 
 @dataclass(frozen=True)
@@ -53,10 +52,9 @@ class Point:
 def eventually_constant_points(branch: int, max_prefix: int) -> tuple:
     """All normalized points with prefix length at most ``max_prefix``."""
     out = set()
-    for k in range(max_prefix + 1):
-        for prefix in itertools.product(range(branch), repeat=k):
-            for tail in range(branch):
-                out.add(Point(prefix, tail))
+    for prefix in all_sequences(branch, max_prefix):
+        for tail in range(branch):
+            out.add(Point(prefix, tail))
     return tuple(sorted(out, key=lambda p: p.sort_key))
 
 

@@ -6,7 +6,6 @@ an explicit ``random.Random`` so identical seeds reproduce identical data.
 from __future__ import annotations
 
 import random
-from typing import Iterable
 
 from . import formulas as F
 from .site import Basis, CoveringAxiomViolation, CoveringSystem

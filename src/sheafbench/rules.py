@@ -42,7 +42,6 @@ from .spaces import (
     Bar,
     TruncatedSpace,
     bar_to_sieve,
-    cantor_cover_test,
     seq_leq,
     u_bracket,
 )
@@ -243,7 +242,7 @@ def fan_rule(inp: FanRuleInput | Bar, fuel: int | None = None):
     stages.append(("monotone-step", {"conclusions": tuple(conclusions)}))
 
     brute = least_uniform_depth(bar)
-    direct = cantor_cover_test(space, (), bar_to_sieve(bar))
+    direct = space.topology.cover((), bar_to_sieve(bar))
     if (
         brute is None
         or n < brute
@@ -374,7 +373,7 @@ def bar_rule(bar: Bar, fuel: int | None = None):
     for v, u in witnesses:
         if not (seq_leq(v, u) and bar.holds(u) and bar.holds(v)):
             raise PremiseNotForced("cover")
-    cover = Sieve.from_members(space.basis, (), tuple(inner_witness))
+    cover = Sieve.from_generators(space.basis, (), tuple(inner_witness))
     stages.append(("cover", {"witnesses": witnesses}))
 
     try:

@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Mapping
 
 from .site import Basis, CoveringSystem, FormalSpace, Sieve, element_key, sieves_on
 from .points import Point, eventually_constant_points
-from .spaces import TruncatedSpace, all_sequences
+from .spaces import TruncatedSpace, all_sequences, bracket
 from .double import DOpen, DoubleSpace, SingletonOpen
 from .maps import ContinuousMap, check_continuous_map, discrete_space
 
@@ -80,14 +80,14 @@ def make_section(space: FormalSpace, root, assignments) -> NatSection:
         gens_by_value.setdefault(value, []).append(elem)
 
     all_gens = [e for gens in gens_by_value.values() for e in gens]
-    if not space.topology.cover(root, Sieve.from_members(basis, root, all_gens)).covered:
+    if not space.topology.cover(root, Sieve.from_generators(basis, root, all_gens)).covered:
         raise NotASection(f"assigned opens do not cover {root!r}")
 
     fragment = basis.down(root)
     value_of: dict = {}
     for value in sorted(gens_by_value, key=element_key):
         gens = gens_by_value[value]
-        full = Sieve.from_members(basis, root, gens)
+        full = Sieve.from_generators(basis, root, gens)
         for w in fragment:
             if space.topology.cover(w, full.restrict(w)).covered:
                 if w in value_of and value_of[w] != value:
@@ -174,19 +174,8 @@ class ConstantPresheaf:
             self._restricts[key] = got
         return got
 
-    def pure(self, a, value) -> NatSection:
-        if value not in self.values:
-            raise ValueError(f"{value!r} is not a value of this sheaf")
-        return pure_section(self.space, a, value)
-
     def section_count(self, a) -> int:
         return len(self.values) ** len(self.atoms(a))
-
-
-def truncated_atoms(space: TruncatedSpace) -> Callable:
-    def atoms(u):
-        return space.leaves(u)
-    return atoms
 
 
 def double_atoms(double: DoubleSpace) -> Callable:
@@ -201,7 +190,7 @@ def space_atoms(space: FormalSpace) -> Callable:
     if isinstance(space, DoubleSpace):
         return double_atoms(space)
     if isinstance(space, TruncatedSpace):
-        return truncated_atoms(space)
+        return space.leaves
     raise TypeError("constant sheaves need a truncated space or a double")
 
 
@@ -209,10 +198,7 @@ def nat_values(n_max: int) -> tuple:
     return tuple(range(n_max))
 
 def finseq_values(branch: int, len_cap: int) -> tuple:
-    out = []
-    for k in range(len_cap + 1):
-        out.extend(itertools.product(range(branch), repeat=k))
-    return tuple(sorted(out, key=element_key))
+    return all_sequences(branch, len_cap)
 
 def stream_values(branch: int, prefix_cap: int) -> tuple:
     return eventually_constant_points(branch, prefix_cap)
@@ -220,7 +206,7 @@ def stream_values(branch: int, prefix_cap: int) -> tuple:
 
 def stream_obs_values(branch: int, depth: int) -> tuple:
     """One canonical stream per observation class at the truncation depth."""
-    leaves = [w for w in all_sequences(branch, depth) if len(w) == depth]
+    leaves = bracket(branch, (), depth)
     return tuple(sorted((Point(w, 0) for w in leaves), key=lambda p: p.sort_key))
 
 
@@ -381,20 +367,12 @@ def _run_family_check(presheaf, elems, families_at, max_failures) -> SheafReport
     separation_failures: list = []
     glue_failures: list = []
     checked_families = 0
-    for a in elems:
-        for fam in families_at(a):
-            checked_families += 1
-            keep_going = _check_family(
-                presheaf, a, fam, separation_failures, glue_failures, max_failures
-            )
-            if not keep_going:
-                return SheafReport(
-                    tuple(law_failures),
-                    tuple(separation_failures),
-                    tuple(glue_failures),
-                    checked_laws,
-                    checked_families,
-                )
+    for a, fam in ((a, fam) for a in elems for fam in families_at(a)):
+        checked_families += 1
+        if not _check_family(
+            presheaf, a, fam, separation_failures, glue_failures, max_failures
+        ):
+            break
     return SheafReport(
         tuple(law_failures),
         tuple(separation_failures),
@@ -453,31 +431,9 @@ def sheaf_check_covering_system(
     if cross_sample:
         sample = elems[:cross_sample]
         full = sheaf_check(presheaf, elements=sample, max_failures=max_failures)
-        assert not (report.ok and not full.ok), (
-            "covering-system check passed where the full check fails"
-        )
+        if report.ok and not full.ok:
+            raise AssertionError("covering-system check passed where the full check fails")
     return report
-
-
-class NotAmalgamable(ValueError):
-    pass
-
-
-def amalgamate(presheaf: ConstantPresheaf, a, family: Mapping) -> NatSection:
-    """Glue sections given on opens below ``a`` into one section over ``a``.
-
-    The domains must cover ``a``; overlaps must agree (otherwise the zones
-    collide and the construction reports the conflict).
-    """
-    assignments = []
-    for elem, sec in family.items():
-        if sec.root != elem:
-            raise ValueError(f"section rooted at {sec.root!r} filed under {elem!r}")
-        assignments.extend(sec.pieces)
-    try:
-        return make_section(presheaf.space, a, assignments)
-    except (IncompatibleAssignment, NotASection) as exc:
-        raise NotAmalgamable(str(exc)) from exc
 
 
 @dataclass(frozen=True)
@@ -515,7 +471,7 @@ def pure_density_check(presheaf: ConstantPresheaf, elements: Iterable | None = N
             pure_zone = [
                 v for v in space.basis.down(a) if value_at(space, s, v) is not None
             ]
-            sieve = Sieve.from_members(space.basis, a, pure_zone)
+            sieve = Sieve.from_generators(space.basis, a, pure_zone)
             if not space.topology.cover(a, sieve).covered:
                 failures.append((a, s))
     return PureDensityReport(checked, tuple(failures))
@@ -527,13 +483,12 @@ def slice_space(space: FormalSpace, root) -> FormalSpace:
     basis = Basis(elems, space.basis.leq)
     system = None
     if space.system is not None:
-        inside = set(elems)
+        # CoveringSystem rejects any family member outside the slice
         table = {
             a: tuple(space.system.families_at(a))
             for a in elems
             if space.system.families_at(a)
         }
-        assert all(x in inside for fams in table.values() for f in fams for x in f)
         system = CoveringSystem(basis, table)
     return FormalSpace(basis, space.topology, system)
 

@@ -10,9 +10,9 @@ cached results are safe to reuse.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping
 
 Element = Hashable
 
@@ -107,6 +107,10 @@ class Basis:
             self._down[a] = got
         return got
 
+    def disjoint(self, a: Element, b: Element) -> bool:
+        """No enumerated element lies below both ``a`` and ``b``."""
+        return not (set(self.down(a)) & set(self.down(b)))
+
     def up(self, a: Element) -> tuple:
         got = self._up.get(a)
         if got is None:
@@ -164,10 +168,6 @@ class Sieve:
         return Sieve(basis, root, kept)
 
     @staticmethod
-    def from_members(basis: Basis, root: Element, members: Iterable[Element]) -> "Sieve":
-        return Sieve.from_generators(basis, root, members)
-
-    @staticmethod
     def maximal(basis: Basis, root: Element) -> "Sieve":
         return Sieve.from_generators(basis, root, (root,))
 
@@ -187,24 +187,15 @@ class Sieve:
     def restrict(self, b: Element) -> "Sieve":
         """The sieve ``{v <= b : v in self}`` rooted at ``b``."""
         self.basis.require(b)
-        leq = self.basis.leq
-        return Sieve.from_members(
+        return Sieve.from_generators(
             self.basis, b, (v for v in self.basis.down(b) if self.contains(v))
         )
-
-    def is_subsieve_of(self, other: "Sieve") -> bool:
-        return all(other.contains(g) for g in self.generators)
 
     def same_members(self, other: "Sieve") -> bool:
         return self.root == other.root and set(self.members) == set(other.members)
 
     def __repr__(self) -> str:
         return f"Sieve(root={self.root!r}, generators={list(self.generators)!r})"
-
-
-def restrict_sieve(sieve: Sieve, b: Element) -> Sieve:
-    """Restriction of a sieve to the part below ``b``."""
-    return sieve.restrict(b)
 
 
 # ---------------------------------------------------------------------------
@@ -307,12 +298,6 @@ class CoveringSystem:
         self.basis.require(a)
         return self._table.get(a, ())
 
-    def items(self):
-        for a in self.basis.elements:
-            fams = self._table.get(a)
-            if fams:
-                yield a, fams
-
     def validate(self) -> None:
         """Covering axiom: families restrict along the order.
 
@@ -363,9 +348,6 @@ class Topology:
     def basic_covers(self, a: Element):
         """Enumerated presentation of the covers of ``a``, or None if absent."""
         return None
-
-    def covers(self, a: Element, sieve: Sieve, fuel: int | None = None) -> bool:
-        return self.cover(a, sieve, fuel).covered
 
 
 class GeneratedTopology(Topology):
@@ -460,32 +442,6 @@ def generate_topology(
     if validate:
         system.validate()
     return GeneratedTopology(system, default_fuel=fuel)
-
-
-@dataclass(frozen=True)
-class ClosureResult:
-    sieve: Sieve
-    approximate: bool = False
-
-
-def closed_closure(topology: Topology, sieve: Sieve, fuel: int | None = None) -> ClosureResult:
-    """Least closed sieve containing ``sieve`` on the same root.
-
-    An element joins the closure when its restriction of the sieve covers it.
-    With exhausted cover tests the result can be smaller than ideal and is
-    flagged approximate.
-    """
-    members = []
-    approximate = False
-    for v in topology.basis.down(sieve.root):
-        res = topology.cover(v, sieve.restrict(v), fuel)
-        if res.covered:
-            members.append(v)
-        elif res.exhausted:
-            approximate = True
-    return ClosureResult(
-        Sieve.from_members(topology.basis, sieve.root, members), approximate
-    )
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,9 @@ from .site import (
     CoverResult,
     CoveringSystem,
     FormalSpace,
-    GeneratedTopology,
     NotACover,
     Sieve,
     Topology,
-    UnknownElement,
     generate_topology,
 )
 
@@ -50,11 +48,13 @@ def seq_leq(u: Seq, v: Seq) -> bool:
     return len(v) <= len(u) and u[: len(v)] == v
 
 
+def bracket(branch: int, u: Seq, q: int) -> tuple:
+    """All length-q extensions of ``u`` in a ``branch``-ary tree."""
+    return tuple(u + rest for rest in itertools.product(range(branch), repeat=q - len(u)))
+
+
 def all_sequences(branch: int, depth: int) -> tuple:
-    out = [()]
-    for q in range(1, depth + 1):
-        out.extend(itertools.product(range(branch), repeat=q))
-    return tuple(out)
+    return tuple(u for q in range(depth + 1) for u in bracket(branch, (), q))
 
 
 def u_bracket(space: "TruncatedSpace", u: Seq, q: int) -> tuple:
@@ -62,7 +62,7 @@ def u_bracket(space: "TruncatedSpace", u: Seq, q: int) -> tuple:
     space.basis.require(u)
     if q < len(u) or q > space.depth:
         raise DepthExceeded(f"bracket depth {q} outside [{len(u)}, {space.depth}]")
-    return tuple(u + rest for rest in itertools.product(range(space.branch), repeat=q - len(u)))
+    return bracket(space.branch, u, q)
 
 
 @dataclass(frozen=True)
@@ -95,24 +95,19 @@ class BracketTopology(Topology):
         self.branch = branch
         self.depth = depth
 
-    def _bracket(self, u: Seq, q: int) -> tuple:
-        return tuple(
-            u + rest for rest in itertools.product(range(self.branch), repeat=q - len(u))
-        )
-
     def cover(self, u: Seq, sieve: Sieve, fuel: int | None = None) -> CoverResult:
         self.basis.require(u)
         for q in range(len(u), self.depth + 1):
-            if all(sieve.contains(v) for v in self._bracket(u, q)):
+            if all(sieve.contains(v) for v in bracket(self.branch, u, q)):
                 return CoverResult(True, depth=q)
         frontier = tuple(
-            v for v in self._bracket(u, self.depth) if not sieve.contains(v)
+            v for v in bracket(self.branch, u, self.depth) if not sieve.contains(v)
         )
         return CoverResult(False, frontier=frontier)
 
     def basic_covers(self, u: Seq):
         return tuple(
-            Sieve.from_generators(self.basis, u, self._bracket(u, q))
+            Sieve.from_generators(self.basis, u, bracket(self.branch, u, q))
             for q in range(len(u), self.depth + 1)
         )
 
@@ -133,14 +128,10 @@ def _child_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:
 
 
 def _bracket_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:
-    families = {}
-    for u in basis.elements:
-        fams = []
-        for q in range(len(u), depth + 1):
-            fams.append(
-                tuple(u + rest for rest in itertools.product(range(branch), repeat=q - len(u)))
-            )
-        families[u] = fams
+    families = {
+        u: [bracket(branch, u, q) for q in range(len(u), depth + 1)]
+        for u in basis.elements
+    }
     return CoveringSystem(basis, families)
 
 
@@ -176,20 +167,15 @@ def baire_space(branch: int, depth: int) -> TruncatedSpace:
     )
 
 
-def cantor_cover_test(space: TruncatedSpace, u: Seq, sieve: Sieve) -> CoverResult:
-    """Minimal uniform bracket depth of ``u`` inside the sieve, or the missing frontier."""
-    if space.kind != "cantor":
-        raise ValueError("direct bracket test is defined on the binary space")
-    return space.topology.cover(u, sieve)
-
-
 def kfinite_subcover(space: TruncatedSpace, u: Seq, sieve: Sieve) -> tuple:
     """Finite subcover listed from the minimal uniform bracket.
 
     The returned elements all belong to the sieve and the sieve they generate
     still covers ``u``; raises :class:`NotACover` when the test fails.
     """
-    result = cantor_cover_test(space, u, sieve)
+    if space.kind != "cantor":
+        raise ValueError("direct bracket test is defined on the binary space")
+    result = space.topology.cover(u, sieve)
     if not result.covered:
         raise NotACover(f"no uniform bracket of {u!r} inside the sieve")
     return u_bracket(space, u, result.depth)
@@ -262,4 +248,4 @@ def bar_to_sieve(bar: Bar, root: Seq = ()) -> Sieve:
     basis = bar.space.basis
     basis.require(root)
     hits = [u for u in basis.down(root) if bar.holds(u)]
-    return Sieve.from_members(basis, root, hits)
+    return Sieve.from_generators(basis, root, hits)

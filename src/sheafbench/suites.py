@@ -20,7 +20,7 @@ from .points import Point, eventually_constant_points
 from .randomgen import random_covering_system, random_formula, random_monotone_bar, random_preorder
 from .sheaves import derived_sheaves, nat_sheaf, pure_density_check, section_map_bijection_check, sheaf_check, sheaf_check_covering_system
 from .site import FormalSpace, GeneratedTopology, InductiveDefinition, Sieve, check_topology_axioms, element_key, inductive_close, set_compactness_witness, sieves_on
-from .spaces import Bar, bar_from_generators, bar_to_sieve, baire_space, cantor_cover_test, cantor_space, kfinite_subcover, u_bracket
+from .spaces import Bar, bar_from_generators, bar_to_sieve, baire_space, cantor_space, kfinite_subcover, u_bracket
 
 
 @dataclass(frozen=True)
@@ -90,15 +90,8 @@ def compactness_suite(depth: int = 4, generator_len: int = 3) -> SuiteResult:
         gens = {u for u, bit in zip(level, bits) if bit}
         bar = bar_from_generators(space, gens, monotone=True)
         sieve = bar_to_sieve(bar)
-        verdict = cantor_cover_test(space, (), sieve)
-        brute = next(
-            (
-                q
-                for q in range(depth + 1)
-                if all(bar.holds(v) for v in u_bracket(space, (), q))
-            ),
-            None,
-        )
+        verdict = space.topology.cover((), sieve)
+        brute = rules.least_uniform_depth(bar)
         checked += 1
         if verdict.covered != (brute is not None):
             witnesses.append({"generators": sorted(gens), "verdict": verdict.covered, "brute": brute})
@@ -152,7 +145,7 @@ def forcing_suite(seed: int = 0, samples: int = 200, depth: int = 3,
                     witnesses.append({"formula": str(formula), "index": index,
                                       "kind": "monotonicity", "above": a, "below": b})
         for a in basis.elements:
-            sieve = Sieve.from_members(
+            sieve = Sieve.from_generators(
                 basis, a, [b for b in basis.down(a) if b in zone]
             )
             checked += 1
@@ -327,7 +320,7 @@ def continuity_suite(seed: int = 0, branch: int = 2, depth: int = 3,
 # ------------------------------------------------------------------- sheaves
 
 
-def _sheaf_spaces(depth: int = 3):
+def _standard_spaces(depth: int):
     cantor = cantor_space(depth)
     baire = baire_space(3, depth)
     return (
@@ -357,7 +350,7 @@ def sheaf_suite(depth: int = 3, n_max: int = 2, budget: int = 512,
     """
     witnesses = []
     checked = 0
-    for space_label, space in _sheaf_spaces(depth):
+    for space_label, space in _standard_spaces(depth):
         sheaves = {"nat": nat_sheaf(space, n_max)}
         sheaves.update(derived_sheaves(space))
         for sheaf_label, presheaf in sheaves.items():
@@ -392,23 +385,12 @@ def sheaf_suite(depth: int = 3, n_max: int = 2, budget: int = 512,
 # ---------------------------------------------------------------- cc/choice
 
 
-def _cc_spaces(depth: int = 2):
-    cantor = cantor_space(depth)
-    baire = baire_space(3, depth)
-    return (
-        ("cantor", cantor),
-        ("baire", baire),
-        ("double-cantor", build_double(cantor, eventually_constant_points(2, 1))),
-        ("double-baire", build_double(baire, eventually_constant_points(3, 1))),
-    )
-
-
 def cc_suite(seed: int = 0, samples: int = 100, depth: int = 2,
              sieve_cap: int = 256, n_max: int = 2) -> SuiteResult:
     """Disjoint refinement on every enumerated cover, then sampled gluings."""
     witnesses = []
     checked = 0
-    spaces = _cc_spaces(depth)
+    spaces = _standard_spaces(depth)
     refinements = []
     for label, space in spaces:
         basis = space.basis
@@ -448,6 +430,20 @@ def cc_suite(seed: int = 0, samples: int = 100, depth: int = 2,
 # ------------------------------------------------------------------ brouwer
 
 
+def _alt_baire_pairs(branches, depths, **tags) -> tuple:
+    """Checked sieves and failure witnesses of the alternative cover check."""
+    witnesses = []
+    checked = 0
+    for branch in branches:
+        for depth in depths:
+            report = alt_baire_equiv_check(branch, depth)
+            checked += report.checked_sieves
+            if not report.ok:
+                witnesses.append({**tags, "branch": branch, "depth": depth,
+                                  "disagreements": len(report.cover_disagreements)})
+    return checked, witnesses
+
+
 def _equiv_partition_ok(space, branch: int, depth: int) -> tuple:
     memo: dict = {}
     rmemo: dict = {}
@@ -479,15 +475,9 @@ def _equiv_partition_ok(space, branch: int, depth: int) -> tuple:
 
 def brouwer_suite(max_branch: int = 3, max_depth: int = 3) -> SuiteResult:
     """Alternative cover presentation plus the labelled-tree law battery."""
-    witnesses = []
-    checked = 0
-    for branch in range(2, max_branch + 1):
-        for depth in range(1, max_depth + 1):
-            report = alt_baire_equiv_check(branch, depth)
-            checked += report.checked_sieves
-            if not report.ok:
-                witnesses.append({"check": "alt-baire", "branch": branch, "depth": depth,
-                                  "disagreements": len(report.cover_disagreements)})
+    checked, witnesses = _alt_baire_pairs(
+        range(2, max_branch + 1), range(1, max_depth + 1), check="alt-baire"
+    )
     eq_checked, mismatches = _equiv_partition_ok(cantor_space(1), 2, 2)
     checked += eq_checked
     if mismatches:
@@ -566,15 +556,7 @@ CHECK_SUITES = {
 
 
 def _alt_baire_only() -> SuiteResult:
-    witnesses = []
-    checked = 0
-    for branch in (2, 3):
-        for depth in (1, 2, 3):
-            report = alt_baire_equiv_check(branch, depth)
-            checked += report.checked_sieves
-            if not report.ok:
-                witnesses.append({"branch": branch, "depth": depth,
-                                  "disagreements": len(report.cover_disagreements)})
+    checked, witnesses = _alt_baire_pairs((2, 3), (1, 2, 3))
     return _result("alt-baire", checked, witnesses, pairs=6)
 
 

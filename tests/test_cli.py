@@ -4,6 +4,7 @@ import json
 import pytest
 
 from sheafbench.cli import main
+from sheafbench.jsonio import MAX_ELEMENTS
 from sheafbench.points import eventually_constant_points
 
 
@@ -163,6 +164,20 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys):
 
     with pytest.raises(SystemExit):
         main(["check", "not-a-suite"])
+
+
+@pytest.mark.parametrize("space", [
+    {"kind": "finite", "elements": ["a", "b"], "leq": [["zz", "a"]]},
+    {"kind": "finite", "elements": [[0], [1]]},
+    {"kind": "cantor", "depth": True},
+    {"kind": "baire", "branch": 1, "depth": MAX_ELEMENTS},  # one element too many
+], ids=["unknown-leq-element", "list-elements", "boolean-depth", "over-size-limit"])
+def test_malformed_spaces_exit_2_without_a_traceback(space, tmp_path, capsys):
+    path = _write(tmp_path / "space.json", space)
+    formula = tmp_path / "f.txt"
+    formula.write_text("false")
+    assert main(["force", "--space", path, "--formula", str(formula)]) == 2
+    assert "verdict=InputError" in capsys.readouterr().out
 
 
 def test_reports_are_byte_identical_across_runs(tmp_path, capsys):

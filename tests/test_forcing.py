@@ -177,7 +177,7 @@ def test_monotone_and_local_on_random_formulas():
         for p in holds:
             assert set(basis.down(p)) <= holds, (phi, p)
         for p in basis.elements:
-            sieve = Sieve.from_members(
+            sieve = Sieve.from_generators(
                 basis, p, [v for v in basis.down(p) if v in holds]
             )
             if dbl.topology.cover(p, sieve).covered:
@@ -222,8 +222,9 @@ def test_cc_refine_keeps_given_disjoint_pieces():
 def test_cc_refine_trivial_and_failure():
     space = cantor_space(2)
     assert cc_refine(space, (1,), Sieve.maximal(space.basis, (1,))) == ((1,),)
-    with pytest.raises(NotACover):
+    with pytest.raises(NotACover) as err:
         cc_refine(space, (), Sieve.from_generators(space.basis, (), [(0,)]))
+    assert err.value.args == ("Sieve(root=(), generators=[(0,)]) does not cover ()",)
 
 
 def test_cc_refine_descends_baire():

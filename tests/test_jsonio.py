@@ -5,6 +5,7 @@ import pytest
 
 from sheafbench.double import DOpen, DoubleSpace, SingletonOpen
 from sheafbench.jsonio import (
+    MAX_ELEMENTS,
     InputError,
     bar_from_json,
     dump_report,
@@ -55,6 +56,21 @@ def test_unknown_kind_and_missing_fields_are_input_errors():
         space_from_json({"kind": "moebius"})
     with pytest.raises(InputError):
         space_from_json({"kind": "cantor"})
+
+
+def test_sizes_just_above_the_limit_are_refused_before_building():
+    # closed forms: baire(1, d) has d + 1 elements, and a branch-b point
+    # family with prefixes up to m has b ** (m + 1) points
+    with pytest.raises(InputError, match="more than"):
+        space_from_json({"kind": "baire", "branch": 1, "depth": MAX_ELEMENTS})
+    with pytest.raises(InputError, match="more than"):
+        space_from_json({"kind": "double", "inner": {"kind": "cantor", "depth": 40}})
+    rel = {"space": {"kind": "cantor", "depth": 1}, "builtin": "identity"}
+    limit = MAX_ELEMENTS.bit_length() - 2  # 2 ** (limit + 1) == MAX_ELEMENTS
+    _, table = rel_from_json(dict(rel, max_prefix=limit))
+    assert len(table) == MAX_ELEMENTS
+    with pytest.raises(InputError, match="more than"):
+        rel_from_json(dict(rel, max_prefix=limit + 1))
 
 
 def test_bar_from_generators_and_member_lists():

@@ -9,9 +9,7 @@ from sheafbench.sheaves import (
     EmptyCoverPresent,
     IncompatibleAssignment,
     NatSection,
-    NotAmalgamable,
     NotASection,
-    amalgamate,
     derived_sheaves,
     finseq_sheaf,
     finseq_values,
@@ -152,25 +150,6 @@ def test_finseq_values_enumeration():
     # canonical order is by length, then lexicographic
     vals = finseq_values(2, 2)
     assert vals == ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
-
-
-def test_amalgamate_glues_compatible_pieces():
-    space = cantor_space(2)
-    sheaf = nat_sheaf(space, 3)
-    left = make_section(space, (0,), [((0, 0), 1), ((0, 1), 2)])
-    right = pure_section(space, (1,), 1)
-    glued = amalgamate(sheaf, (), {(0,): left, (1,): right})
-    assert value_at(space, glued, (1, 1)) == 1
-    assert value_at(space, glued, (0, 0)) == 1
-    assert glued.pieces == (((1,), 1), ((0, 0), 1), ((0, 1), 2))
-
-
-def test_amalgamate_rejects_gaps():
-    space = cantor_space(2)
-    sheaf = nat_sheaf(space, 3)
-    left = pure_section(space, (0,), 1)
-    with pytest.raises(NotAmalgamable):
-        amalgamate(sheaf, (), {(0,): left})
 
 
 def test_pure_density():

@@ -18,13 +18,11 @@ from sheafbench.site import (
     Sieve,
     UnknownElement,
     check_topology_axioms,
-    closed_closure,
     cover_induction,
     FormalSpace,
     generate_topology,
     inductive_close,
     recheck_cover_induction,
-    restrict_sieve,
     set_compactness_witness,
     sieves_on,
 )
@@ -61,7 +59,7 @@ def _oracle_tree_covered(branch, depth, x, sieve):
 def test_restrict_to_disjoint_branch_is_empty():
     space = cantor_space(2)
     s = Sieve.from_generators(space.basis, (), [(0,)])
-    r = restrict_sieve(s, (1,))
+    r = s.restrict((1,))
     assert r.root == (1,)
     assert r.generators == ()
     assert r.members == ()
@@ -70,14 +68,14 @@ def test_restrict_to_disjoint_branch_is_empty():
 def test_restrict_maximal_sieve_is_maximal_below():
     space = cantor_space(2)
     m = Sieve.maximal(space.basis, ())
-    r = restrict_sieve(m, (0, 0))
+    r = m.restrict((0, 0))
     assert r.same_members(Sieve.maximal(space.basis, (0, 0)))
 
 
 def test_restrict_keeps_only_comparable_generators():
     space = cantor_space(2)
     s = Sieve.from_generators(space.basis, (), [(0, 0), (1,)])
-    r = restrict_sieve(s, (0,))
+    r = s.restrict((0,))
     assert set(r.members) == _brute_members(space.basis, (0,), [(0, 0)])
 
 
@@ -104,7 +102,7 @@ def test_restrict_unknown_element_raises():
     space = cantor_space(2)
     s = Sieve.maximal(space.basis, ())
     with pytest.raises(UnknownElement):
-        restrict_sieve(s, (0, 0, 0))
+        s.restrict((0, 0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -260,34 +258,6 @@ def test_cover_induction_requires_a_cover():
     s = Sieve.from_generators(space.basis, (), [(0,)])
     with pytest.raises(NotACover):
         cover_induction(space.system, lambda u: True, (), s)
-
-
-def test_closed_closure_adds_the_root_above_its_children():
-    space = cantor_space(2)
-    s = Sieve.from_generators(space.basis, (), [(0,), (1,)])
-    result = closed_closure(space.topology, s)
-    assert result.sieve.contains(())
-    assert result.sieve.same_members(Sieve.maximal(space.basis, ()))
-    assert not result.approximate
-
-
-def test_closed_closure_is_idempotent():
-    space = baire_space(2, 3)
-    rng = random.Random(5)
-    pool = list(space.basis.elements)
-    for _ in range(20):
-        s = Sieve.from_generators(space.basis, (), rng.sample(pool, rng.randint(0, 4)))
-        once = closed_closure(space.topology, s).sieve
-        twice = closed_closure(space.topology, once).sieve
-        assert once.same_members(twice)
-
-
-def test_closed_closure_flags_fuel_starvation():
-    space = baire_space(2, 3)
-    leaves = [u for u in space.basis.elements if len(u) == 3]
-    s = Sieve.from_generators(space.basis, (), leaves)
-    result = closed_closure(space.topology, s, fuel=1)
-    assert result.approximate
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,6 @@ from sheafbench.spaces import (
     bar_from_generators,
     bar_to_sieve,
     baire_space,
-    cantor_cover_test,
     cantor_space,
     kfinite_subcover,
     seq_leq,
@@ -51,14 +50,14 @@ def test_bracket_depth_bounds():
 def test_cover_test_finds_minimal_mixed_depth():
     space = cantor_space(3)
     s = Sieve.from_generators(space.basis, (), [(0,), (1, 0), (1, 1)])
-    res = cantor_cover_test(space, (), s)
+    res = space.topology.cover((), s)
     assert res.covered and res.depth == 2
 
 
 def test_cover_test_reports_missing_frontier():
     space = cantor_space(3)
     s = Sieve.from_generators(space.basis, (), [(0,)])
-    res = cantor_cover_test(space, (), s)
+    res = space.topology.cover((), s)
     assert not res.covered
     assert set(res.frontier) == {u for u in u_bracket(space, (), 3) if u[0] == 1}
 
@@ -71,7 +70,7 @@ def test_cover_test_matches_brute_force_on_random_sieves():
         s = Sieve.from_generators(space.basis, (), rng.sample(pool, rng.randint(0, 5)))
         u = rng.choice(pool)
         expected = _brute_min_uniform_depth(space, u, s)
-        got = cantor_cover_test(space, u, s)
+        got = space.topology.cover(u, s)
         assert (got.depth if got.covered else None) == expected
 
 
@@ -111,7 +110,7 @@ def test_kfinite_subcover_revalidates():
     assert alpha == u_bracket(space, (), 2)
     assert all(s.contains(v) for v in alpha)
     regenerated = Sieve.from_generators(space.basis, (), alpha)
-    assert cantor_cover_test(space, (), regenerated).covered
+    assert space.topology.cover((), regenerated).covered
 
 
 def test_kfinite_subcover_requires_a_cover():
@@ -159,7 +158,7 @@ def test_random_covering_bars_cover_the_root():
     space = cantor_space(4)
     for _ in range(20):
         bar = random_monotone_bar(rng, space, covering=True)
-        assert cantor_cover_test(space, (), bar_to_sieve(bar)).covered
+        assert space.topology.cover((), bar_to_sieve(bar)).covered
 
 
 def test_inductive_closure_of_a_covering_bar_reaches_the_root():
