@@ -16,7 +16,7 @@ from typing import Iterable, Mapping
 
 from .forcing import cc_refine
 from .site import FormalSpace, Sieve, element_key, sieves_on
-from .spaces import DepthExceeded, TruncatedSpace, baire_space
+from .spaces import TruncatedSpace, baire_space
 
 # ---------------------------------------------------------------- ordinal trees
 
@@ -55,16 +55,12 @@ def sup(children: Iterable[BrouwerTree]) -> BrouwerTree:
     return BrouwerTree(got)
 
 
-def k_map(tree: BrouwerTree, branch: int, depth: int | None = None) -> frozenset:
+def k_map(tree: BrouwerTree, branch: int) -> frozenset:
     """Generator set of the basic cover a tree denotes.
 
     The leaf denotes ``{()}``; a node prefixes each child's set with the
-    child's index and takes the union.  With a ``depth`` bound given, trees
-    reaching deeper raise :class:`DepthExceeded` since their covers mention
-    sequences outside the truncation.
+    child's index and takes the union.
     """
-    if depth is not None and tree.depth > depth:
-        raise DepthExceeded(f"tree of depth {tree.depth} exceeds bound {depth}")
     if tree.is_leaf:
         return frozenset({()})
     if len(tree.children) != branch:

@@ -24,17 +24,9 @@ from typing import Mapping
 
 from .site import FormalSpace, NotACover, Sieve, element_key
 from .spaces import Bar, TruncatedSpace, all_sequences, seq_leq
-from .points import Point, point_members
+from .points import Point, eventually_constant_points, point_members
 from .double import DOpen, DoubleSpace, SingletonOpen, enumerate_double_points
-from .sheaves import (
-    ConstantPresheaf,
-    NatSection,
-    finseq_values,
-    make_section,
-    nat_values,
-    stream_values,
-    value_at,
-)
+from .sheaves import ConstantPresheaf, NatSection, make_section, value_at
 from . import formulas as F
 
 
@@ -271,14 +263,15 @@ def _force(run: _Run, stage, node, env: dict) -> bool:
     return out
 
 
-def _zone(run: _Run, node, env: dict) -> frozenset:
+def _zone(run: _Run, node, env: dict):
     """Basis elements where a connective's stage-local condition holds.
 
     The member set of a disjunction or existential (and the failure set of
     an implication or universal) is defined pointwise at each element, so it
     does not depend on the stage being forced; computing it once over the
     whole basis lets every stage reuse it as an intersection with its
-    downset.
+    downset.  A quantifier's zone maps each element to its first witness
+    (Exists) or counterexample (Forall) in universe order.
     """
     model = run.model
     key = (node, run.env_key(node, env))
@@ -300,18 +293,17 @@ def _zone(run: _Run, node, env: dict) -> frozenset:
             if _force(run, v, node.left, env) and not _force(run, v, node.right, env)
         )
     elif isinstance(node, (F.Exists, F.Forall)):
-        # elements with a witness (Exists) or a counterexample (Forall)
+        # each element's first witness (Exists) or counterexample (Forall)
         universe = model.universe(node.sort)
         wanted = isinstance(node, F.Exists)
-        hits = []
+        got = {}
         for v in elements:
             inner_env = dict(env)
             for c in universe:
                 inner_env[node.var] = (node.sort, c)
                 if _force(run, v, node.body, inner_env) == wanted:
-                    hits.append(v)
+                    got[v] = c
                     break
-        got = frozenset(hits)
     else:
         raise ModelError(f"no zone for {node!r}")
 
@@ -319,25 +311,16 @@ def _zone(run: _Run, node, env: dict) -> frozenset:
     return got
 
 
-def exists_witness_sieve(model: ForcingModel, stage, var: str, sort: str, body,
+def exists_witness_sieve(model: ForcingModel, stage, node: F.Exists,
                          env: Mapping | None = None, fuel: int | None = None):
     """Members below ``stage`` with a witness, first witness recorded each.
 
-    This is the sieve whose covering makes an existential forced; the rule
-    pipelines use it to read off their numerical content.
+    This is the sieve whose covering makes the existential ``node`` forced;
+    the rule pipelines use it to read off their numerical content.  It is
+    read off the existential's zone, which is built over the whole basis.
     """
-    run = _Run(model, fuel)
-    base_env = dict(env or {})
-    basis = model.space.basis
-    members = []
-    for v in basis.down(stage):
-        for c in model.universe(sort):
-            inner_env = dict(base_env)
-            inner_env[var] = (sort, c)
-            if _force(run, v, body, inner_env):
-                members.append((v, c))
-                break
-    return tuple(members)
+    zone = _zone(_Run(model, fuel), node, dict(env or {}))
+    return tuple((v, zone[v]) for v in model.space.basis.down(stage) if v in zone)
 
 
 # ------------------------------------------------------------------ atoms
@@ -442,24 +425,25 @@ def standard_model(
     space: FormalSpace,
     bar: Bar | None = None,
     n_max: int = 8,
-    len_cap: int | None = None,
     prefix_cap: int | None = None,
     rel_table: Mapping | None = None,
-    extra_constants: Mapping | None = None,
-    extra_atoms: Mapping | None = None,
 ) -> ForcingModel:
-    """Model over a truncated space or its double with the standard sorts."""
+    """Model over a truncated space or its double with the standard sorts.
+
+    Nat ranges below ``n_max``, FinSeq over the sequences of the truncated
+    tree, and the stream sorts over the eventually constant streams with
+    prefixes up to ``prefix_cap`` (default: one past the depth) plus the
+    generic stream ``pi``.
+    """
     inner = space.inner if isinstance(space, DoubleSpace) else space
     if not isinstance(inner, TruncatedSpace):
         raise ModelError("standard models need a truncated space or a double")
     branch, depth = inner.branch, inner.depth
-    if len_cap is None:
-        len_cap = depth
     if prefix_cap is None:
         prefix_cap = depth + 1
 
-    streams2 = stream_values(min(branch, 2), prefix_cap)
-    streamsN = stream_values(branch, prefix_cap)
+    streams2 = eventually_constant_points(min(branch, 2), prefix_cap)
+    streamsN = eventually_constant_points(branch, prefix_cap)
     seq2 = tuple(pure_value(p, 2) for p in streams2)
     seqn = tuple(pure_value(p, branch) for p in streamsN)
     if branch == 2:
@@ -468,18 +452,13 @@ def standard_model(
     else:
         seqn = seqn + (generic_value(branch),)
     universes = {
-        "Nat": nat_values(n_max),
-        "FinSeq": finseq_values(branch, len_cap),
+        "Nat": tuple(range(n_max)),
+        "FinSeq": all_sequences(branch, depth),
         "Seq2": seq2,
         "SeqN": seqn,
     }
     seq_sort = "Seq2" if branch == 2 else "SeqN"
     constants = {GENERIC_NAME: (seq_sort, generic_value(branch))}
-    if extra_constants:
-        constants.update(extra_constants)
-    atoms = standard_atoms()
-    if extra_atoms:
-        atoms.update(extra_atoms)
 
     if isinstance(space, DoubleSpace):
         family = enumerate_double_points(space, extra_points=streamsN)
@@ -490,7 +469,7 @@ def standard_model(
     return ForcingModel(
         space=space,
         universes=universes,
-        atoms=atoms,
+        atoms=standard_atoms(),
         constants=constants,
         bar=bar,
         rel_table=dict(rel_table) if rel_table is not None else None,
@@ -658,17 +637,12 @@ class Amalgamation:
     unique: bool
 
 
-def choice_amalgamation(
-    presheaf: ConstantPresheaf,
-    root,
-    witnesses: Mapping,
-    verify_unique: bool = True,
-) -> Amalgamation:
+def choice_amalgamation(presheaf: ConstantPresheaf, root, witnesses: Mapping) -> Amalgamation:
     """Glue per-piece choices over a disjoint covering refinement.
 
     ``witnesses`` assigns a value to each refinement piece.  Disjointness
     makes the family vacuously compatible, so a unique glued section exists;
-    uniqueness is re-verified by enumeration unless switched off.
+    uniqueness is re-verified by enumerating the sections over ``root``.
     """
     space = presheaf.space
     basis = space.basis
@@ -683,12 +657,9 @@ def choice_amalgamation(
     assignments = [(r, witnesses[r]) for r in pieces]
     section = make_section(space, root, assignments)
 
-    unique = True
-    if verify_unique:
-        matches = [
-            s
-            for s in presheaf.sections(root)
-            if all(value_at(space, s, r) == w for r, w in assignments)
-        ]
-        unique = matches == [section]
-    return Amalgamation(section, tuple(pieces), unique)
+    matches = [
+        s
+        for s in presheaf.sections(root)
+        if all(value_at(space, s, r) == w for r, w in assignments)
+    ]
+    return Amalgamation(section, tuple(pieces), matches == [section])

@@ -290,13 +290,3 @@ def free_names(formula) -> frozenset:
     if isinstance(formula, (Exists, Forall)):
         return free_names(formula.body) - {formula.var}
     raise TypeError(f"not a formula: {formula!r}")
-
-
-def formula_depth(formula) -> int:
-    if isinstance(formula, (Falsum, Atom)):
-        return 0
-    if isinstance(formula, (And, Or, Implies)):
-        return 1 + max(formula_depth(formula.left), formula_depth(formula.right))
-    if isinstance(formula, (Exists, Forall)):
-        return 1 + formula_depth(formula.body)
-    raise TypeError(f"not a formula: {formula!r}")

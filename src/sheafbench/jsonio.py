@@ -35,8 +35,20 @@ class InputError(ValueError):
 MAX_ELEMENTS = 2048
 
 
+def _object(data, where: str) -> Mapping:
+    if not isinstance(data, Mapping):
+        raise InputError(f"{where}: expected an object")
+    return data
+
+
+def _list(values, where: str) -> list:
+    if not isinstance(values, list):
+        raise InputError(f"{where}: expected a list")
+    return values
+
+
 def _require(data: Mapping, key: str, where: str):
-    if key not in data:
+    if key not in _object(data, where):
         raise InputError(f"{where}: missing required key {key!r}")
     return data[key]
 
@@ -75,10 +87,17 @@ def _basis_size(data: Mapping) -> int:
 
 def _names(values, where: str) -> tuple:
     """A JSON list of element names: strings or integers."""
-    if not isinstance(values, list) or not all(
-        isinstance(v, (str, int)) and not isinstance(v, bool) for v in values
+    if not all(
+        isinstance(v, (str, int)) and not isinstance(v, bool) for v in _list(values, where)
     ):
         raise InputError(f"{where}: expected a list of strings or integers")
+    return tuple(values)
+
+
+def _seq(values, where: str) -> tuple:
+    """A JSON list of integers: a finite sequence."""
+    if not all(isinstance(v, int) and not isinstance(v, bool) for v in _list(values, where)):
+        raise InputError(f"{where}: expected a list of integers")
     return tuple(values)
 
 
@@ -104,26 +123,15 @@ def space_from_json(data: Mapping) -> FormalSpace:
         elements = _names(_require(data, "elements", "space"), "space: elements")
         if len(set(elements)) != len(elements):
             raise InputError("space: elements must be distinct")
-        pairs = {_names(pair, "space: leq entry") for pair in data.get("leq", [])}
+        pairs = {
+            _names(pair, "space: leq entry") for pair in _list(data.get("leq", []), "space: leq")
+        }
         if not all(len(pair) == 2 and set(pair) <= set(elements) for pair in pairs):
             raise InputError("space: leq entries must be pairs of elements")
-        below: dict = {a: {a} for a in elements}
-        for a, b in pairs:
-            below[b].add(a)
-        changed = True
-        while changed:
-            changed = False
-            for b in elements:
-                extra = set()
-                for a in below[b]:
-                    extra |= below[a]
-                if not extra <= below[b]:
-                    below[b] |= extra
-                    changed = True
-        basis = Basis(elements, lambda x, y: x in below[y])
+        basis = Basis.from_pairs(elements, pairs)
         table = {
-            a: tuple(_names(fam, "space: covers") for fam in fams)
-            for a, fams in data.get("covers", {}).items()
+            a: tuple(_names(fam, "space: covers") for fam in _list(fams, "space: covers"))
+            for a, fams in _object(data.get("covers", {}), "space: covers").items()
         }
         try:
             system = CoveringSystem(basis, table)
@@ -134,9 +142,20 @@ def space_from_json(data: Mapping) -> FormalSpace:
     raise InputError(f"space: unknown kind {kind!r}")
 
 
+def _tree_elements(space: TruncatedSpace, values, what: str) -> set:
+    """A JSON list of sequences, each an element of the tree space."""
+    out = {_seq(u, f"bar: {what}") for u in _list(values, f"bar: {what}s")}
+    for u in out:
+        try:
+            space.basis.require(u)
+        except UnknownElement:
+            raise InputError(f"bar: {what} {u!r} is not an element of the space") from None
+    return out
+
+
 def bar_from_json(data: Mapping) -> Bar:
     """A bar over a tree space, from generators or an explicit member list."""
-    space = space_from_json(data.get("space", data))
+    space = space_from_json(_object(data, "bar").get("space", data))
     if not isinstance(space, TruncatedSpace):
         raise InputError("bar: bars live over tree spaces")
     monotone = bool(data.get("monotone", True))
@@ -144,25 +163,18 @@ def bar_from_json(data: Mapping) -> Bar:
     if "generators" in data:
         if not monotone:
             raise InputError("bar: generator form always yields a monotone bar")
-        gens = {tuple(g) for g in data["generators"]}
+        gens = _tree_elements(space, data["generators"], "generator")
         return bar_from_generators(space, gens, monotone=True, inductive=inductive)
-    members = {tuple(m) for m in _require(data, "members", "bar")}
-    for m in members:
-        try:
-            space.basis.require(m)
-        except UnknownElement:
-            raise InputError(f"bar: member {m!r} is not an element of the space") from None
+    members = _tree_elements(space, _require(data, "members", "bar"), "member")
     return Bar(space, members.__contains__, monotone=monotone, inductive=inductive)
 
 
 def _point_from_json(data, branch: int) -> Point:
-    if isinstance(data, Mapping):
-        prefix = tuple(_require(data, "prefix", "point"))
-        tail = _require(data, "tail", "point")
-    else:
-        raise InputError(f"point: expected an object, got {data!r}")
-    entries = set(prefix) | {tail}
-    if not all(isinstance(e, int) and 0 <= e < branch for e in entries):
+    prefix = _seq(_require(data, "prefix", "point"), "point: prefix")
+    tail = _require(data, "tail", "point")
+    if isinstance(tail, bool) or not all(
+        isinstance(e, int) and 0 <= e < branch for e in prefix + (tail,)
+    ):
         raise InputError(f"point: entries outside branching {branch}")
     return Point(prefix, tail)
 
@@ -174,7 +186,7 @@ def rel_from_json(data: Mapping) -> tuple:
     tables over the declared point family; an explicit ``table`` lists
     ``{"from": point, "to": point}`` entries.
     """
-    space = space_from_json(data.get("space", data))
+    space = space_from_json(_object(data, "rel").get("space", data))
     if not isinstance(space, TruncatedSpace):
         raise InputError("rel: relation tables live over tree spaces")
     branch = space.branch
@@ -195,7 +207,7 @@ def rel_from_json(data: Mapping) -> tuple:
     if builtin is not None:
         raise InputError(f"rel: unknown builtin {builtin!r}")
     table = {}
-    for entry in _require(data, "table", "rel"):
+    for entry in _list(_require(data, "table", "rel"), "rel: table"):
         source = _point_from_json(_require(entry, "from", "rel"), branch)
         image = _point_from_json(_require(entry, "to", "rel"), branch)
         table[source] = image

@@ -37,19 +37,15 @@ class ContinuousMap:
 
     @staticmethod
     def from_pairs(
-        source: FormalSpace,
-        target: FormalSpace,
-        pairs: Iterable[tuple],
-        saturate: bool = True,
+        source: FormalSpace, target: FormalSpace, pairs: Iterable[tuple]
     ) -> "ContinuousMap":
+        """The map a seed relation induces, saturated to canonical form."""
         seed = set()
         for p, q in pairs:
             source.basis.require(p)
             target.basis.require(q)
             seed.add((p, q))
-        if saturate:
-            seed = _saturate(source, target, seed)
-        return ContinuousMap(source, target, frozenset(seed))
+        return ContinuousMap(source, target, frozenset(_saturate(source, target, seed)))
 
     def related(self, p, q) -> bool:
         return (p, q) in self.pairs

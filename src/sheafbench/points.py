@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
-from .site import Basis, CoverResult, FormalSpace, Sieve, Topology, element_key
+from .site import Basis, CoverResult, FormalSpace, Sieve, Topology, element_key, sieves_on
 from .spaces import TruncatedSpace, all_sequences
 
 
@@ -83,7 +83,8 @@ def is_point(space: FormalSpace, subject) -> PointCheck:
     """Check inhabitedness, upward closure, directedness, and cover meeting.
 
     Cover meeting is tested against the enumerated covering families, which
-    suffices for the generated relation.
+    suffices for the generated relation; a space without a covering system
+    has no families to meet.
     """
     alpha = _as_member_set(space, subject)
     basis = space.basis
@@ -98,11 +99,8 @@ def is_point(space: FormalSpace, subject) -> PointCheck:
         for v in ordered:
             if not any(basis.leq(w, u) and basis.leq(w, v) for w in alpha):
                 return PointCheck(False, 2, (u, v))
-    families = space.system.families_at if space.system is not None else None
     for u in ordered:
-        fams = families(u) if families else ()
-        if not fams and space.topology.basic_covers(u):
-            fams = tuple(s.generators for s in space.topology.basic_covers(u))
+        fams = space.system.families_at(u) if space.system is not None else ()
         for fam in fams:
             if not any(x in alpha for x in fam):
                 return PointCheck(False, 3, (u, fam))
@@ -155,10 +153,7 @@ class EnoughPointsReport:
 
 
 def enough_points_check(
-    space: TruncatedSpace,
-    points: Iterable[Point],
-    sieve_cap: int = 64,
-    rng=None,
+    space: TruncatedSpace, points: Iterable[Point], sieve_cap: int = 64
 ) -> EnoughPointsReport:
     """Compare the formal cover relation with the spatial one on sampled sieves.
 
@@ -166,14 +161,12 @@ def enough_points_check(
     many sampled spatial covers have no formal derivation, which measures how
     far the point family is from exhausting the space.
     """
-    from .site import sieves_on
-
     extent = ext_map(space, tuple(points))
     checked = 0
     bad = []
     spatial_only = 0
     for a in space.basis.elements:
-        for s in sieves_on(space.basis, a, cap=sieve_cap, rng=rng):
+        for s in sieves_on(space.basis, a, cap=sieve_cap):
             checked += 1
             formal = space.topology.cover(a, s).covered
             reached = set()

@@ -9,50 +9,34 @@ import random
 
 from . import formulas as F
 from .site import Basis, CoveringAxiomViolation, CoveringSystem
-from .spaces import TruncatedSpace, Bar, bar_from_generators, u_bracket
+from .spaces import TruncatedSpace, Bar, bar_from_generators
 
 
 def random_preorder(rng: random.Random, size: int) -> Basis:
     """Random finite preorder on string labels, closed reflexively and transitively."""
     labels = [f"e{i}" for i in range(size)]
-    below: dict[str, set] = {a: {a} for a in labels}
-    for i in range(size):
-        for j in range(size):
-            if i != j and rng.random() < 0.25:
-                below[labels[j]].add(labels[i])  # labels[i] <= labels[j]
-    changed = True
-    while changed:
-        changed = False
-        for a in labels:
-            extra = set()
-            for b in below[a]:
-                extra |= below[b]
-            if not extra <= below[a]:
-                below[a] |= extra
-                changed = True
-    frozen = {a: frozenset(s) for a, s in below.items()}
-    return Basis(labels, lambda x, y: x in frozen[y])
+    pairs = [
+        (labels[i], labels[j])
+        for i in range(size)
+        for j in range(size)
+        if i != j and rng.random() < 0.25
+    ]
+    return Basis.from_pairs(labels, pairs)
 
 
-def random_covering_system(
-    rng: random.Random,
-    basis: Basis,
-    max_families: int = 2,
-    allow_empty: bool = False,
-) -> CoveringSystem:
+def random_covering_system(rng: random.Random, basis: Basis) -> CoveringSystem:
     """Random covering system repaired until the covering axiom holds.
 
+    Each element draws up to two non-empty families of at most three members.
     Missing restrictions are patched by adding the full restricted family, so
     the repair loop terminates and the result always validates.
     """
     families: dict = {a: [] for a in basis.elements}
     for a in basis.elements:
         down = list(basis.down(a))
-        for _ in range(rng.randint(0, max_families)):
-            low = 0 if allow_empty and rng.random() < 0.1 else 1
-            size = rng.randint(low, max(low, min(3, len(down))))
-            fam = tuple(sorted(rng.sample(down, size))) if size else ()
-            families[a].append(fam)
+        for _ in range(rng.randint(0, 2)):
+            size = rng.randint(1, min(3, len(down)))
+            families[a].append(tuple(sorted(rng.sample(down, size))))
 
     def build() -> CoveringSystem:
         return CoveringSystem(basis, {a: tuple(f) for a, f in families.items()})
@@ -73,45 +57,35 @@ def random_covering_system(
             families[v.q].append(restriction)
 
 
-def random_monotone_bar(
-    rng: random.Random, space: TruncatedSpace, covering: bool = True
-) -> Bar:
-    """Monotone bar from random generators, optionally forced to cover the root.
+def random_monotone_bar(rng: random.Random, space: TruncatedSpace) -> Bar:
+    """Monotone bar from random generators that covers the root.
 
-    When ``covering`` is set, every leaf missing from the generated sieve is
-    added as a generator, so the bar meets every path of the truncated tree.
+    Every leaf missing from the generated sieve is added as a generator, so
+    the bar meets every path of the truncated tree.
     """
     pool = [u for u in space.basis.elements if len(u) >= 1]
     count = rng.randint(1, max(1, len(pool) // 3))
     gens = set(rng.sample(pool, min(count, len(pool))))
-    if covering:
-        for leaf in u_bracket(space, (), space.depth):
-            if not any(leaf[: len(g)] == g for g in gens):
-                gens.add(leaf)
+    for leaf in space.leaves():
+        if not any(leaf[: len(g)] == g for g in gens):
+            gens.add(leaf)
     return bar_from_generators(space, gens, monotone=True)
 
 
-_VAR_PREFIX = {"Nat": "n", "FinSeq": "u", "Seq2": "a", "SeqN": "b"}
+# quantifier sorts, drawn uniformly (the repeat doubles the weight of Nat),
+# and the prefix of the variables each sort binds
+_SORTS = ("Nat", "Nat", "FinSeq", "Seq2")
+_VAR_PREFIX = {"Nat": "n", "FinSeq": "u", "Seq2": "a"}
 
 
-def random_formula(
-    rng: random.Random,
-    depth: int,
-    sorts: tuple = ("Nat", "Nat", "FinSeq", "Seq2"),
-    generic: str | None = "pi",
-    generic_sort: str = "Seq2",
-    allow_inbar: bool = True,
-    allow_rel: bool = False,
-    n_max: int = 8,
-):
+def random_formula(rng: random.Random, depth: int, n_max: int = 8):
     """Random closed, well-sorted formula with AST depth at most ``depth``.
 
-    Quantifier sorts are drawn from ``sorts`` (repeats skew the weights);
-    the generic stream name, when given, is used as a stream term alongside
-    bound variables.
+    Quantifiers range over Nat, FinSeq and Seq2; stream atoms take the
+    generic stream ``pi`` or a bound Seq2 variable.
     """
-    fresh = {"Nat": 0, "FinSeq": 0, "Seq2": 0, "SeqN": 0}
-    scope: dict = {"Nat": [], "FinSeq": [], "Seq2": [], "SeqN": []}
+    fresh = dict.fromkeys(_VAR_PREFIX, 0)
+    scope: dict = {sort: [] for sort in _VAR_PREFIX}
 
     def nat_term():
         choices = ["lit"]
@@ -125,28 +99,14 @@ def random_formula(
             return var
         return F.Sum(var, F.Lit(rng.randint(0, 2)))
 
-    def stream_terms(sort: str) -> list:
-        terms = [F.Name(x) for x in scope[sort]]
-        if generic is not None and sort == generic_sort:
-            terms.append(F.Name(generic))
-        return terms
-
     def atom():
         kinds = ["EqNat", "Leq"]
-        if allow_inbar and scope["FinSeq"]:
-            kinds += ["InBar", "InBar"]
-        if len(scope["FinSeq"]) >= 1:
-            kinds.append("EqFin")
-        for sort in ("Seq2", "SeqN"):
-            streams = stream_terms(sort)
-            if streams:
-                kinds.append(("App", sort))
-                if scope["FinSeq"]:
-                    kinds.append(("Prefix", sort))
-                if len(streams) >= 1:
-                    kinds.append(("EqStream", sort))
-                if allow_rel:
-                    kinds.append(("Rel", sort))
+        if scope["FinSeq"]:
+            kinds += ["InBar", "InBar", "EqFin"]
+        kinds.append("App")
+        if scope["FinSeq"]:
+            kinds.append("Prefix")
+        kinds.append("EqStream")
         kind = rng.choice(kinds)
         if kind == "EqNat":
             return F.Atom("Eq", (nat_term(), nat_term()))
@@ -157,19 +117,15 @@ def random_formula(
         if kind == "EqFin":
             picks = rng.choices(scope["FinSeq"], k=2)
             return F.Atom("Eq", (F.Name(picks[0]), F.Name(picks[1])))
-        name, sort = kind
-        streams = stream_terms(sort)
-        if name == "App":
+        streams = [F.Name(x) for x in scope["Seq2"]] + [F.Name("pi")]
+        if kind == "App":
             return F.Atom("App", (rng.choice(streams), nat_term(), nat_term()))
-        if name == "Prefix":
+        if kind == "Prefix":
             return F.Atom(
                 "Prefix", (rng.choice(streams), F.Name(rng.choice(scope["FinSeq"])))
             )
-        if name == "EqStream":
-            picks = rng.choices(streams, k=2)
-            return F.Atom("Eq", (picks[0], picks[1]))
         picks = rng.choices(streams, k=2)
-        return F.Atom("Rel", (picks[0], picks[1]))
+        return F.Atom("Eq", (picks[0], picks[1]))
 
     def build(d: int):
         if d <= 0:
@@ -182,7 +138,7 @@ def random_formula(
             return node(build(d - 1), build(d - 1))
         if roll < 0.60:
             return F.Implies(build(d - 1), build(d - 1))
-        sort = rng.choice(sorts)
+        sort = rng.choice(_SORTS)
         fresh[sort] += 1
         var = f"{_VAR_PREFIX[sort]}{fresh[sort]}"
         scope[sort].append(var)

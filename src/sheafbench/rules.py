@@ -29,7 +29,6 @@ from .forcing import (
     with_universe_value,
 )
 from .points import Point, eventually_constant_points
-from .sheaves import stream_values
 from .site import (
     HypothesisFails,
     NotACover,
@@ -98,10 +97,6 @@ class ExtractionTranscript:
     output: object
     context: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def stage_names(self) -> tuple:
-        return tuple(name for name, _ in self.stages)
-
     def stage(self, name: str) -> dict:
         for got, payload in self.stages:
             if got == name:
@@ -125,13 +120,47 @@ def _double_model(space: TruncatedSpace, **kwargs) -> tuple[DoubleSpace, Forcing
 
 def _witness_map(model: ForcingModel, double: DoubleSpace, premise, fuel):
     """First witnesses of the generic instance of a forced ``forall/exists``."""
-    ex = premise.body
     env = {premise.var: (premise.sort, generic_value(double.inner.branch))}
-    pairs = exists_witness_sieve(
-        model, double.d(()), ex.var, ex.sort, ex.body, env=env, fuel=fuel
-    )
+    pairs = exists_witness_sieve(model, double.d(()), premise.body, env=env, fuel=fuel)
     inner = {m.seq: w for m, w in pairs if isinstance(m, DOpen)}
-    return tuple(pairs), inner
+    return pairs, inner
+
+
+def _forced_premise(bar: Bar, text: str, fuel):
+    """Force a bar premise at D(<>) of the double and read its witness map.
+
+    Returns the double, its model, the parsed premise, the ``premise`` and
+    ``witness-sieve`` stages, and the first witness of each inner open.
+    """
+    double, model = _double_model(bar.space, bar=bar)
+    root = double.d(())
+    premise = F.parse_formula(text)
+    if not force(model, root, premise, fuel=fuel):
+        raise PremiseNotForced("premise")
+    pairs, inner_witness = _witness_map(model, double, premise, fuel)
+    stages = [
+        ("premise", {"formula": str(premise), "root": root}),
+        ("witness-sieve", {"pairs": pairs}),
+    ]
+    return double, model, premise, stages, inner_witness
+
+
+def _recheck_premise(transcript: ExtractionTranscript, text: str, fuel) -> tuple:
+    """Re-force a bar premise and re-read its witness map.
+
+    Returns the parsed premise, the witness map and the names of the
+    ``premise`` and ``witness-sieve`` stages that fail.
+    """
+    double = transcript.context["double"]
+    model = transcript.context["model"]
+    premise = F.parse_formula(text)
+    failed = []
+    if not force(model, double.d(()), premise, fuel=fuel):
+        failed.append("premise")
+    pairs, inner_witness = _witness_map(model, double, premise, fuel)
+    if pairs != transcript.stage("witness-sieve")["pairs"]:
+        failed.append("witness-sieve")
+    return premise, inner_witness, failed
 
 
 # ---------------------------------------------------------------- fan rule
@@ -178,18 +207,8 @@ def fan_rule(inp: FanRuleInput | Bar, fuel: int | None = None):
         inp = FanRuleInput(inp)
     bar = inp.bar
     space = bar.space
-    double, model = _double_model(space, bar=bar)
-    root = double.d(())
-    premise = F.parse_formula(FAN_PREMISE)
+    double, model, premise, stages, inner_witness = _forced_premise(bar, FAN_PREMISE, fuel)
     ex = premise.body
-    stages = []
-
-    if not force(model, root, premise, fuel=fuel):
-        raise PremiseNotForced("premise")
-    stages.append(("premise", {"formula": str(premise), "root": root}))
-
-    pairs, inner_witness = _witness_map(model, double, premise, fuel)
-    stages.append(("witness-sieve", {"pairs": pairs}))
 
     n0 = None
     for q in range(space.depth + 1):
@@ -264,18 +283,9 @@ def fan_rule(inp: FanRuleInput | Bar, fuel: int | None = None):
 def _recheck_fan(transcript: ExtractionTranscript, fuel: int | None = None) -> tuple:
     bar = transcript.context["bar"]
     space = transcript.context["space"]
-    double = transcript.context["double"]
     model = transcript.context["model"]
-    premise = F.parse_formula(FAN_PREMISE)
+    premise, inner_witness, failed = _recheck_premise(transcript, FAN_PREMISE, fuel)
     ex = premise.body
-    failed = []
-
-    if not force(model, double.d(()), premise, fuel=fuel):
-        failed.append("premise")
-
-    pairs, inner_witness = _witness_map(model, double, premise, fuel)
-    if pairs != transcript.stage("witness-sieve")["pairs"]:
-        failed.append("witness-sieve")
 
     def uniform(q: int) -> bool:
         return all(v in inner_witness for v in u_bracket(space, (), q))
@@ -357,17 +367,7 @@ def bar_rule(bar: Bar, fuel: int | None = None):
         raise ValueError("bar induction runs over a truncated sequence space")
     if not (bar.monotone and bar.inductive):
         bar = Bar(space, bar.predicate, monotone=True, inductive=True)
-    double, model = _double_model(space, bar=bar)
-    root = double.d(())
-    premise = F.parse_formula(BAR_PREMISE)
-    stages = []
-
-    if not force(model, root, premise, fuel=fuel):
-        raise PremiseNotForced("premise")
-    stages.append(("premise", {"formula": str(premise), "root": root}))
-
-    pairs, inner_witness = _witness_map(model, double, premise, fuel)
-    stages.append(("witness-sieve", {"pairs": pairs}))
+    double, model, _, stages, inner_witness = _forced_premise(bar, BAR_PREMISE, fuel)
 
     witnesses = tuple(sorted(inner_witness.items(), key=lambda kv: element_key(kv[0])))
     for v, u in witnesses:
@@ -406,18 +406,8 @@ def bar_rule(bar: Bar, fuel: int | None = None):
 def _recheck_bar(transcript: ExtractionTranscript, fuel: int | None = None) -> tuple:
     bar = transcript.context["bar"]
     space = transcript.context["space"]
-    double = transcript.context["double"]
-    model = transcript.context["model"]
     cover = transcript.context["cover"]
-    premise = F.parse_formula(BAR_PREMISE)
-    failed = []
-
-    if not force(model, double.d(()), premise, fuel=fuel):
-        failed.append("premise")
-
-    pairs, _ = _witness_map(model, double, premise, fuel)
-    if pairs != transcript.stage("witness-sieve")["pairs"]:
-        failed.append("witness-sieve")
+    _, _, failed = _recheck_premise(transcript, BAR_PREMISE, fuel)
 
     witnesses = transcript.stage("cover")["witnesses"]
     if not all(
@@ -466,7 +456,7 @@ def continuity_rule(rel: Mapping, space: TruncatedSpace, fuel: int | None = None
     the least prefix length that pins down the first ``k`` output entries.
     """
     branch, depth = space.branch, space.depth
-    points = stream_values(branch, depth + 1)
+    points = eventually_constant_points(branch, depth + 1)
     table = dict(rel)
     for q in points:
         if q not in table:
@@ -505,9 +495,7 @@ def continuity_rule(rel: Mapping, space: TruncatedSpace, fuel: int | None = None
         raise NotForced("the unique-image premise fails at the root")
     stages.append(("premise", {"formula": str(formula), "root": root}))
 
-    pairs = exists_witness_sieve(
-        model, root, formula.var, formula.sort, formula.body, fuel=fuel
-    )
+    pairs = exists_witness_sieve(model, root, formula, fuel=fuel)
     chosen = dict(pairs).get(root)
     if chosen is None:
         raise NotForced("no witness for the image at the root")
@@ -540,7 +528,7 @@ def _recheck_continuity(transcript: ExtractionTranscript, fuel: int | None = Non
     failed = []
 
     points = transcript.stage("total")["points"]
-    if points != stream_values(branch, depth + 1) or any(q not in images for q in points):
+    if points != eventually_constant_points(branch, depth + 1) or any(q not in images for q in points):
         failed.append("total")
 
     recorded = transcript.stage("modulus")["table"]

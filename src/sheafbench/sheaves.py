@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
 from .site import Basis, CoveringSystem, FormalSpace, Sieve, element_key, sieves_on
-from .points import Point, eventually_constant_points
+from .points import Point
 from .spaces import TruncatedSpace, all_sequences, bracket
 from .double import DOpen, DoubleSpace, SingletonOpen
 from .maps import ContinuousMap, check_continuous_map, discrete_space
@@ -46,16 +46,6 @@ class NatSection:
 
     root: object
     pieces: tuple  # ((element, value), ...) with maximal zone elements
-
-    def values(self) -> tuple:
-        seen = []
-        for _, n in self.pieces:
-            if n not in seen:
-                seen.append(n)
-        return tuple(seen)
-
-    def is_pure(self) -> bool:
-        return len(self.pieces) == 1 and self.pieces[0][0] == self.root
 
     def __repr__(self) -> str:
         body = ", ".join(f"{elem!r}:{val!r}" for elem, val in self.pieces)
@@ -133,10 +123,6 @@ def restrict_section(space: FormalSpace, section: NatSection, b) -> NatSection:
     return make_section(space, b, assignments)
 
 
-def pure_section(space: FormalSpace, root, value) -> NatSection:
-    return NatSection(root, ((root, value),))
-
-
 class ConstantPresheaf:
     """All locally constant sections with values drawn from a finite set.
 
@@ -194,16 +180,6 @@ def space_atoms(space: FormalSpace) -> Callable:
     raise TypeError("constant sheaves need a truncated space or a double")
 
 
-def nat_values(n_max: int) -> tuple:
-    return tuple(range(n_max))
-
-def finseq_values(branch: int, len_cap: int) -> tuple:
-    return all_sequences(branch, len_cap)
-
-def stream_values(branch: int, prefix_cap: int) -> tuple:
-    return eventually_constant_points(branch, prefix_cap)
-
-
 def stream_obs_values(branch: int, depth: int) -> tuple:
     """One canonical stream per observation class at the truncation depth."""
     leaves = bracket(branch, (), depth)
@@ -226,7 +202,7 @@ def require_positive(space: FormalSpace) -> None:
 
 def nat_sheaf(space: FormalSpace, n_max: int) -> ConstantPresheaf:
     require_positive(space)
-    return ConstantPresheaf(space, nat_values(n_max), space_atoms(space), label="nat")
+    return ConstantPresheaf(space, tuple(range(n_max)), space_atoms(space), label="nat")
 
 
 def finseq_sheaf(
@@ -235,7 +211,7 @@ def finseq_sheaf(
     require_positive(space)
     return ConstantPresheaf(
         space,
-        finseq_values(branch, len_cap),
+        all_sequences(branch, len_cap),
         space_atoms(space),
         label=label or f"finseq{branch}",
     )
@@ -274,12 +250,15 @@ def derived_sheaves(space: FormalSpace, len_cap: int | None = None) -> dict:
     if len_cap is None:
         len_cap = depth
     require_positive(space)
+    atoms = space_atoms(space)
     return {
-        "two": ConstantPresheaf(space, (0, 1), space_atoms(space), label="two"),
-        "finseq2": finseq_sheaf(space, 2, len_cap, label="finseq2"),
-        "seq2": stream_sheaf(space, 2, depth, label="seq2"),
-        "finseqN": finseq_sheaf(space, branch, len_cap, label="finseqN"),
-        "seqN": stream_sheaf(space, branch, depth, label="seqN"),
+        "two": ConstantPresheaf(space, (0, 1), atoms, label="two"),
+        "finseq2": ConstantPresheaf(space, all_sequences(2, len_cap), atoms, label="finseq2"),
+        "seq2": ConstantPresheaf(space, stream_obs_values(2, depth), atoms, label="seq2"),
+        "finseqN": ConstantPresheaf(
+            space, all_sequences(branch, len_cap), atoms, label="finseqN"
+        ),
+        "seqN": ConstantPresheaf(space, stream_obs_values(branch, depth), atoms, label="seqN"),
     }
 
 
@@ -413,12 +392,11 @@ def sheaf_check_covering_system(
     presheaf: ConstantPresheaf,
     elements: Iterable | None = None,
     max_failures: int = 4,
-    cross_sample: int = 1,
 ) -> SheafReport:
     """The sheaf axiom checked only on the covering system's families.
 
     The generated topology makes this sufficient; as a guard the full check
-    is re-run on a few elements and must agree on the verdict.
+    is re-run on the first element and must agree on the verdict.
     """
     space = presheaf.space
     if space.system is None:
@@ -428,11 +406,9 @@ def sheaf_check_covering_system(
     report = _run_family_check(
         presheaf, elems, space.system.families_at, max_failures
     )
-    if cross_sample:
-        sample = elems[:cross_sample]
-        full = sheaf_check(presheaf, elements=sample, max_failures=max_failures)
-        if report.ok and not full.ok:
-            raise AssertionError("covering-system check passed where the full check fails")
+    full = sheaf_check(presheaf, elements=elems[:1], max_failures=max_failures)
+    if report.ok and not full.ok:
+        raise AssertionError("covering-system check passed where the full check fails")
     return report
 
 

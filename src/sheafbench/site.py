@@ -71,7 +71,7 @@ class Basis:
     """A finite preorder of basic opens with a decidable order relation.
 
     ``leq(a, b)`` reads "a lies below b"; reflexivity and transitivity are
-    required and can be verified with :meth:`validate`.
+    required.
     """
 
     def __init__(self, elements: Iterable[Element], leq: Callable[[Element, Element], bool]):
@@ -80,6 +80,27 @@ class Basis:
         self._leq = leq
         self._down: dict[Element, tuple] = {}
         self._up: dict[Element, tuple] = {}
+
+    @staticmethod
+    def from_pairs(elements: Iterable[Element], pairs: Iterable[tuple]) -> "Basis":
+        """The preorder generated by ``(a, b)`` pairs, each read "a lies below b".
+
+        The order is the reflexive-transitive closure of the pairs.
+        """
+        below: dict = {a: {a} for a in elements}
+        for a, b in pairs:
+            below[b].add(a)
+        changed = True
+        while changed:
+            changed = False
+            for b in below:
+                extra = set()
+                for a in below[b]:
+                    extra |= below[a]
+                if not extra <= below[b]:
+                    below[b] |= extra
+                    changed = True
+        return Basis(below, lambda x, y: x in below[y])
 
     @property
     def elements(self) -> tuple:
@@ -118,17 +139,6 @@ class Basis:
             got = tuple(v for v in self._elements if self._leq(a, v))
             self._up[a] = got
         return got
-
-    def validate(self) -> None:
-        """Check reflexivity and transitivity on the enumerated elements."""
-        for a in self._elements:
-            if not self._leq(a, a):
-                raise ValueError(f"order not reflexive at {a!r}")
-        for a in self._elements:
-            for b in self.up(a):
-                for c in self.up(b):
-                    if not self._leq(a, c):
-                        raise ValueError(f"order not transitive through {a!r} <= {b!r} <= {c!r}")
 
 
 @dataclass(frozen=True)
@@ -190,9 +200,6 @@ class Sieve:
         return Sieve.from_generators(
             self.basis, b, (v for v in self.basis.down(b) if self.contains(v))
         )
-
-    def same_members(self, other: "Sieve") -> bool:
-        return self.root == other.root and set(self.members) == set(other.members)
 
     def __repr__(self) -> str:
         return f"Sieve(root={self.root!r}, generators={list(self.generators)!r})"
@@ -345,10 +352,6 @@ class Topology:
     def cover(self, a: Element, sieve: Sieve, fuel: int | None = None) -> CoverResult:
         raise NotImplementedError
 
-    def basic_covers(self, a: Element):
-        """Enumerated presentation of the covers of ``a``, or None if absent."""
-        return None
-
 
 class GeneratedTopology(Topology):
     """Cover relation inductively generated by a covering system.
@@ -359,10 +362,9 @@ class GeneratedTopology(Topology):
     element, so fuel acts as a pure depth cutoff and never flips a verdict.
     """
 
-    def __init__(self, system: CoveringSystem, default_fuel: int | None = None):
+    def __init__(self, system: CoveringSystem):
         super().__init__(system.basis)
         self.system = system
-        self.default_fuel = default_fuel
         self._depths: dict[tuple, Mapping[Element, int]] = {}
 
     def _depth_map(self, a: Element, sieve: Sieve) -> Mapping[Element, int]:
@@ -393,8 +395,6 @@ class GeneratedTopology(Topology):
 
     def cover(self, a: Element, sieve: Sieve, fuel: int | None = None) -> CoverResult:
         self.basis.require(a)
-        if fuel is None:
-            fuel = self.default_fuel
         depths = self._depth_map(a, sieve)
         depth = depths.get(a)
         if depth is None:
@@ -431,17 +431,13 @@ class GeneratedTopology(Topology):
         return build(a)
 
 
-def generate_topology(
-    system: CoveringSystem, fuel: int | None = None, validate: bool = True
-) -> GeneratedTopology:
+def generate_topology(system: CoveringSystem) -> GeneratedTopology:
     """Build the generated topology of a covering system.
 
-    The covering axiom is verified first (set ``validate=False`` to skip when
-    the system is known good, for example because it was just repaired).
+    The covering axiom is verified first.
     """
-    if validate:
-        system.validate()
-    return GeneratedTopology(system, default_fuel=fuel)
+    system.validate()
+    return GeneratedTopology(system)
 
 
 @dataclass(frozen=True)
@@ -523,29 +519,21 @@ class FormalSpace:
     system: CoveringSystem | None = None
 
 
-def sieves_on(
-    basis: Basis, a: Element, cap: int = 256, rng=None
-) -> list[Sieve]:
+def sieves_on(basis: Basis, a: Element, cap: int = 256) -> list[Sieve]:
     """Deterministic family of sieves on ``a`` used for sampling checks.
 
-    Enumerates all downclosures of subsets of the fragment below ``a`` when
-    that is affordable, otherwise draws a seeded sample of generator sets.
+    The sieves generated by the first ``cap`` subsets of the fragment below
+    ``a``, smallest subsets first: every sieve on ``a`` when the fragment
+    has at most ``cap`` subsets.
     """
     fragment = basis.down(a)
     seen = {}
-    if 2 ** len(fragment) <= cap or rng is None:
-        pool = []
-        for size in range(len(fragment) + 1):
-            pool.extend(itertools.combinations(fragment, size))
-            if len(pool) > cap:
-                break
-        subsets = pool[:cap]
-    else:
-        subsets = [()]
-        for _ in range(cap - 1):
-            size = rng.randint(1, len(fragment))
-            subsets.append(tuple(rng.sample(fragment, size)))
-    for subset in subsets:
+    pool = []
+    for size in range(len(fragment) + 1):
+        pool.extend(itertools.combinations(fragment, size))
+        if len(pool) > cap:
+            break
+    for subset in pool[:cap]:
         s = Sieve.from_generators(basis, a, subset)
         seen[(s.root, s.generators)] = s
     return [seen[k] for k in sorted(seen, key=lambda k: (len(k[1]), element_key(k[0]), tuple(map(element_key, k[1]))))]
@@ -567,12 +555,7 @@ class AxiomReport:
         )
 
 
-def check_topology_axioms(
-    space: FormalSpace,
-    sieve_cap: int = 64,
-    rng=None,
-    fuel: int | None = None,
-) -> AxiomReport:
+def check_topology_axioms(space: FormalSpace, sieve_cap: int = 64) -> AxiomReport:
     """Verify maximality, stability, and local character on enumerated data.
 
     Stability and local character quantify over a deterministic sieve sample
@@ -583,24 +566,24 @@ def check_topology_axioms(
     basis, topology = space.basis, space.topology
     checked = 0
     max_fail, stab_fail, local_fail = [], [], []
-    samples = {a: sieves_on(basis, a, cap=sieve_cap, rng=rng) for a in basis.elements}
+    samples = {a: sieves_on(basis, a, cap=sieve_cap) for a in basis.elements}
     for a in basis.elements:
         checked += 1
-        if not topology.cover(a, Sieve.maximal(basis, a), fuel).covered:
+        if not topology.cover(a, Sieve.maximal(basis, a)).covered:
             max_fail.append(a)
     for a in basis.elements:
-        covered_here = [s for s in samples[a] if topology.cover(a, s, fuel).covered]
+        covered_here = [s for s in samples[a] if topology.cover(a, s).covered]
         for s in covered_here:
             for b in basis.down(a):
                 checked += 1
-                if not topology.cover(b, s.restrict(b), fuel).covered:
+                if not topology.cover(b, s.restrict(b)).covered:
                     stab_fail.append((a, s.generators, b))
         for r in covered_here:
             for s in samples[a]:
                 checked += 1
                 if all(
-                    topology.cover(b, s.restrict(b), fuel).covered for b in r.members
+                    topology.cover(b, s.restrict(b)).covered for b in r.members
                 ):
-                    if not topology.cover(a, s, fuel).covered:
+                    if not topology.cover(a, s).covered:
                         local_fail.append((a, r.generators, s.generators))
     return AxiomReport(checked, tuple(max_fail), tuple(stab_fail), tuple(local_fail))

@@ -105,12 +105,6 @@ class BracketTopology(Topology):
         )
         return CoverResult(False, frontier=frontier)
 
-    def basic_covers(self, u: Seq):
-        return tuple(
-            Sieve.from_generators(self.basis, u, bracket(self.branch, u, q))
-            for q in range(len(u), self.depth + 1)
-        )
-
 
 def _child_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:
     """Families "all immediate children"; leaves carry the trivial family.
@@ -156,7 +150,7 @@ def baire_space(branch: int, depth: int) -> TruncatedSpace:
         raise ValueError("branch must be at least 1")
     basis = Basis(all_sequences(branch, depth), seq_leq)
     system = _child_system(basis, branch, depth)
-    topology = generate_topology(system, validate=True)
+    topology = generate_topology(system)
     return TruncatedSpace(
         basis=basis,
         topology=topology,
@@ -216,9 +210,6 @@ class Bar:
 
     def holds(self, u: Seq) -> bool:
         return bool(self.predicate(u))
-
-    def members(self) -> tuple:
-        return tuple(u for u in self.space.basis.elements if self.predicate(u))
 
 
 def bar_from_generators(

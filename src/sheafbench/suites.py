@@ -232,21 +232,13 @@ def bar_suite(seed: int = 0, samples: int = 20, branch: int = 2, depth: int = 4)
     return _result("bar", checked, witnesses, samples=samples)
 
 
-def _limit(q: Point) -> int:
-    return q.tail
-
-
-def _path_at(q: Point, i: int) -> int:
-    return q.prefix[i] if i < len(q.prefix) else q.tail
-
-
 def _discontinuous_tables(points) -> list:
     return [
-        ("limit", {q: Point((), _limit(q)) for q in points}),
-        ("flipped-limit", {q: Point((), 1 - _limit(q)) for q in points}),
-        ("read-past-window", {q: Point((), _path_at(q, 5)) for q in points}),
-        ("limit-xor-head", {q: Point((), _path_at(q, 0) ^ _limit(q)) for q in points}),
-        ("collapse-ones", {q: (q if _limit(q) == 0 else Point((), 1)) for q in points}),
+        ("limit", {q: Point((), q.tail) for q in points}),
+        ("flipped-limit", {q: Point((), 1 - q.tail) for q in points}),
+        ("read-past-window", {q: Point((), q.value(5)) for q in points}),
+        ("limit-xor-head", {q: Point((), q.value(0) ^ q.tail) for q in points}),
+        ("collapse-ones", {q: (q if q.tail == 0 else Point((), 1)) for q in points}),
     ]
 
 

@@ -4,8 +4,6 @@ import pytest
 from sheafbench.brouwer import (
     LEAF,
     AltBaireReport,
-    BrouwerTree,
-    LabelledTree,
     NotBelowRoot,
     alt_baire_equiv_check,
     bo_sheaf_checks,
@@ -27,7 +25,7 @@ from sheafbench.double import build_double
 from sheafbench.maps import STAR, one_point_space
 from sheafbench.points import eventually_constant_points
 from sheafbench.site import Sieve
-from sheafbench.spaces import DepthExceeded, baire_space, cantor_space
+from sheafbench.spaces import baire_space, cantor_space
 
 
 def _pair(space, branch=2):
@@ -57,13 +55,11 @@ def test_k_map_of_an_uneven_tree():
     assert k_map(tree, 2) == frozenset({(0, 0), (0, 1), (1,)})
 
 
-def test_k_map_rejects_wrong_arity_and_excess_depth():
+def test_k_map_rejects_wrong_arity():
     with pytest.raises(ValueError):
         k_map(sup((LEAF,)), 2)
     deep = sup((LEAF, sup((LEAF, LEAF))))
-    with pytest.raises(DepthExceeded):
-        k_map(deep, 2, depth=1)
-    assert k_map(deep, 2, depth=2) == frozenset({(0,), (1, 0), (1, 1)})
+    assert k_map(deep, 2) == frozenset({(0,), (1, 0), (1, 1)})
 
 
 def test_tree_enumeration_counts_and_shapes():

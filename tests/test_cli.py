@@ -166,17 +166,40 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys):
         main(["check", "not-a-suite"])
 
 
-@pytest.mark.parametrize("space", [
-    {"kind": "finite", "elements": ["a", "b"], "leq": [["zz", "a"]]},
-    {"kind": "finite", "elements": [[0], [1]]},
-    {"kind": "cantor", "depth": True},
-    {"kind": "baire", "branch": 1, "depth": MAX_ELEMENTS},  # one element too many
-], ids=["unknown-leq-element", "list-elements", "boolean-depth", "over-size-limit"])
-def test_malformed_spaces_exit_2_without_a_traceback(space, tmp_path, capsys):
-    path = _write(tmp_path / "space.json", space)
+_BAIRE = {"kind": "baire", "branch": 2, "depth": 2}
+_POINT = {"prefix": [], "tail": 0}
+
+
+@pytest.mark.parametrize("command, document", [
+    ("force", {"kind": "finite", "elements": ["a", "b"], "leq": [["zz", "a"]]}),
+    ("force", {"kind": "finite", "elements": [[0], [1]]}),
+    ("force", {"kind": "cantor", "depth": True}),
+    ("force", {"kind": "baire", "branch": 1, "depth": MAX_ELEMENTS}),  # one element too many
+    ("force", 5),
+    ("force", {"kind": "finite", "elements": ["a"], "leq": 3}),
+    ("force", {"kind": "finite", "elements": ["a"], "covers": [1]}),
+    ("fan", [1, 2]),
+    ("fan", {"space": _cantor(2), "generators": [1]}),
+    ("fan", {"space": _cantor(2), "generators": [[5]]}),
+    ("fan", {"space": _cantor(2), "members": 7}),
+    ("continuity", [1, 2]),
+    ("continuity", {"space": _BAIRE, "table": [1]}),
+    ("continuity", {"space": _BAIRE, "table": [{"from": {"prefix": 5, "tail": 0}, "to": _POINT}]}),
+    ("continuity", {"space": _BAIRE, "builtin": "constant", "value": {"prefix": [], "tail": True}}),
+], ids=["unknown-leq-element", "list-elements", "boolean-depth", "over-size-limit",
+        "number-space", "number-leq", "list-covers", "list-bar", "number-generator",
+        "generator-outside-space", "number-members", "list-rel", "number-table-entry",
+        "number-point-prefix", "boolean-point-tail"])
+def test_malformed_spaces_exit_2_without_a_traceback(command, document, tmp_path, capsys):
+    path = _write(tmp_path / "input.json", document)
     formula = tmp_path / "f.txt"
     formula.write_text("false")
-    assert main(["force", "--space", path, "--formula", str(formula)]) == 2
+    argv = {
+        "force": ["force", "--space", path, "--formula", str(formula)],
+        "fan": ["fan", "--bar", path],
+        "continuity": ["continuity", "--rel", path],
+    }[command]
+    assert main(argv) == 2
     assert "verdict=InputError" in capsys.readouterr().out
 
 

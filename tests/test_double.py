@@ -1,5 +1,3 @@
-import random
-
 import pytest
 
 from sheafbench.double import (
@@ -98,7 +96,7 @@ def test_double_system_satisfies_covering_axiom():
 
 def test_double_topology_axioms_on_samples():
     dbl = _standard_double()
-    report = check_topology_axioms(dbl, sieve_cap=24, rng=random.Random(11))
+    report = check_topology_axioms(dbl, sieve_cap=24)
     assert report.ok
 
 

@@ -29,14 +29,13 @@ from sheafbench.forcing import (
 from sheafbench.formulas import Lit, Name, Sum, free_names, parse_formula
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_formula
-from sheafbench.sheaves import nat_sheaf, pure_section
+from sheafbench.sheaves import NatSection, nat_sheaf
 from sheafbench.site import (
     Basis,
     CoveringSystem,
     NotACover,
     Sieve,
     generate_topology,
-    sieves_on,
 )
 from sheafbench.spaces import baire_space, bar_from_generators, cantor_space
 
@@ -92,11 +91,7 @@ def test_existential_prefix_in_bar_forced_at_root():
     phi = parse_formula("exists u:FinSeq. Prefix(pi,u) & InBar(u)")
     assert force(model, dbl.d(()), phi)
 
-    inner = phi
-    witnesses = exists_witness_sieve(
-        model, dbl.d(()), inner.var, inner.sort, inner.body
-    )
-    got = dict(witnesses)
+    got = dict(exists_witness_sieve(model, dbl.d(()), phi))
     assert dbl.d(()) not in got
     for v in ((0,), (1,), (0, 0), (1, 1)):
         assert got[dbl.d(v)] == (v[0],)
@@ -273,10 +268,10 @@ def test_choice_amalgamation_glues_and_reports_unique():
     assert isinstance(got, Amalgamation)
     assert got.unique
     assert got.refinement == ((0,), (1,))
-    assert set(got.section.values()) == {5, 7}
+    assert {n for _, n in got.section.pieces} == {5, 7}
 
     single = choice_amalgamation(sheaf, (), {(): 3})
-    assert single.section == pure_section(space, (), 3)
+    assert single.section == NatSection((), (((), 3),))
 
 
 def test_choice_amalgamation_rejects_bad_families():

@@ -1,16 +1,26 @@
-"""Golden CLI reports: each command's report and printed text, by sha256.
+"""Golden outputs, by sha256: CLI reports and the seeded random generators.
 
-The digests pin the exact bytes the command line writes, so a refactor that
-changes any verdict, witness, transcript or rendering shows up here.  Reports
-embed their input paths, so every run happens inside a temporary directory
-with relative paths.  ``check sheaves`` (about a minute) is left out.
+The CLI digests pin the exact bytes the command line writes, so a refactor
+that changes any verdict, witness, transcript or rendering shows up here.
+Reports embed their input paths, so every run happens inside a temporary
+directory with relative paths.  ``check sheaves`` (about a minute) is left
+out.  The generator digests pin what each seeded generator draws, since
+the suites and the benchmark corpus are built from those draws.
 """
 import hashlib
 import json
+import random
 
 import pytest
 
 from sheafbench.cli import main
+from sheafbench.randomgen import (
+    random_covering_system,
+    random_formula,
+    random_monotone_bar,
+    random_preorder,
+)
+from sheafbench.spaces import baire_space, cantor_space
 
 FILES = {
     "double.json": {"kind": "double", "inner": {"kind": "cantor", "depth": 2}},
@@ -105,3 +115,59 @@ def test_cli_report_matches_its_golden_digest(name, tmp_path, monkeypatch, capsy
     stdout = capsys.readouterr().out
     assert (_sha((tmp_path / "report.json").read_bytes()), _sha(stdout.encode())) == (
         report_sha, stdout_sha)
+
+
+def _formulas() -> list:
+    rng = random.Random(11)
+    return [str(random_formula(rng, rng.randint(0, 4), n_max=rng.choice((2, 8))))
+            for _ in range(2000)]
+
+
+def _covering_systems() -> list:
+    rng = random.Random(12)
+    out = []
+    for _ in range(400):
+        basis = random_preorder(rng, rng.randint(1, 8))
+        system = random_covering_system(rng, basis)
+        out.append(repr([
+            (a, [b for b in basis.elements if basis.leq(a, b)], system.families_at(a))
+            for a in basis.elements
+        ]))
+    return out
+
+
+def _bars() -> list:
+    rng = random.Random(13)
+    spaces: dict = {}
+    out = []
+    for _ in range(80):
+        key = (rng.choice((2, 3, "cantor")), rng.randint(1, 4))
+        if key not in spaces:
+            branch, depth = key
+            spaces[key] = cantor_space(depth) if branch == "cantor" else baire_space(branch, depth)
+        space = spaces[key]
+        bar = random_monotone_bar(rng, space)
+        out.append(repr((key, [u for u in space.basis.elements if bar.holds(u)])))
+    return out
+
+
+GENERATORS = {
+    "formulas": (
+        _formulas,
+        "dfefe0d2a2eed7c385163dc73c1b7e5d7e6abc5a22b6c98ab9ead5cb069e34be",
+    ),
+    "covering-systems": (
+        _covering_systems,
+        "b438dc9e1638823dc77d147cdd33e4d0ead0fb7c826fda6b811315f3c3a7069c",
+    ),
+    "bars": (
+        _bars,
+        "e70851b2bdffd27a99523cbc998788748eed4c60e5fc0fb8dd319c7c89fb30be",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATORS))
+def test_seeded_generator_output_matches_its_golden_digest(name):
+    draw, digest = GENERATORS[name]
+    assert _sha("\n".join(draw()).encode()) == digest

@@ -9,7 +9,6 @@ from sheafbench.jsonio import (
     InputError,
     bar_from_json,
     dump_report,
-    jsonable,
     load_json,
     parse_element,
     rel_from_json,

@@ -30,7 +30,7 @@ def _shift_map(src, tgt):
         for v in tgt.basis.elements
         if u[1:][: len(v)] == v
     }
-    return ContinuousMap.from_pairs(src, tgt, pairs, saturate=False)
+    return ContinuousMap(src, tgt, frozenset(pairs))
 
 
 def test_identity_pairs_are_the_order():
@@ -66,7 +66,7 @@ def test_point_as_map_rejects_two_branch_subset():
 def test_fiber_closure_violation_is_reported():
     space = cantor_space(2)
     broken = _order_pairs(space) - {((0,), (0,))}
-    fmap = ContinuousMap.from_pairs(space, space, broken, saturate=False)
+    fmap = ContinuousMap(space, space, frozenset(broken))
     verdict = check_continuous_map(fmap)
     assert not verdict.ok
     assert (5, ((0,), (0,))) in verdict.failures
@@ -83,7 +83,7 @@ def test_saturation_repairs_fiber_closure():
 def test_everywhere_undecided_relation_fails_cover_preimage():
     space = cantor_space(1)
     pairs = {(u, ()) for u in space.basis.elements}
-    fmap = ContinuousMap.from_pairs(space, space, pairs, saturate=False)
+    fmap = ContinuousMap(space, space, frozenset(pairs))
     verdict = check_continuous_map(fmap)
     assert not verdict.ok
     assert {cond for cond, _ in verdict.failures} == {4}

@@ -1,5 +1,3 @@
-import random
-
 from sheafbench.points import (
     Point,
     enough_points_check,
@@ -101,7 +99,7 @@ def test_single_point_makes_one_branch_cover_spatially():
 def test_rich_point_family_matches_formal_covers_exactly():
     space = cantor_space(2)
     pts = eventually_constant_points(2, 2)
-    report = enough_points_check(space, pts, sieve_cap=64, rng=random.Random(5))
+    report = enough_points_check(space, pts, sieve_cap=64)
     assert report.ok
     assert report.spatial_not_formal == 0
     assert report.checked > 0
@@ -110,6 +108,6 @@ def test_rich_point_family_matches_formal_covers_exactly():
 def test_poor_point_family_still_sound_but_not_complete():
     space = cantor_space(2)
     pts = [Point((), 0), Point((), 1)]
-    report = enough_points_check(space, pts, sieve_cap=64, rng=random.Random(5))
+    report = enough_points_check(space, pts, sieve_cap=64)
     assert report.ok  # formal covers are always spatial covers
     assert report.spatial_not_formal > 0

@@ -5,12 +5,11 @@ import random
 
 import pytest
 
-from sheafbench.points import Point
+from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_monotone_bar
 from sheafbench.rules import (
     FanRuleInput,
     NoModulus,
-    NotForced,
     PremiseNotForced,
     bar_rule,
     continuity_rule,
@@ -19,7 +18,6 @@ from sheafbench.rules import (
     least_uniform_depth,
     recheck_transcript,
 )
-from sheafbench.sheaves import stream_values
 from sheafbench.spaces import (
     Bar,
     NotInductive,
@@ -41,7 +39,7 @@ def test_fan_rule_on_a_uniform_depth_bar():
     n, transcript = fan_rule(_length_bar(space, 3))
     assert n == 3
     assert transcript.output == 3
-    assert transcript.stage_names == (
+    assert tuple(name for name, _ in transcript.stages) == (
         "premise",
         "witness-sieve",
         "uniform-depth",
@@ -179,7 +177,7 @@ def _shift(q: Point) -> Point:
 
 def test_continuity_rule_extracts_the_shift():
     space = baire_space(2, 3)
-    points = stream_values(2, 4)
+    points = eventually_constant_points(2, 4)
     rel = {q: _shift(q) for q in points}
     f, modulus, transcript = continuity_rule(rel, space)
     assert f == rel
@@ -193,7 +191,7 @@ def test_continuity_rule_extracts_the_shift():
 
 def test_continuity_rule_extracts_the_identity_as_the_generic():
     space = baire_space(2, 3)
-    points = stream_values(2, 4)
+    points = eventually_constant_points(2, 4)
     f, modulus, transcript = continuity_rule({q: q for q in points}, space)
     assert f == {q: q for q in points}
     assert transcript.stage("section")["value"].kind == "generic"
@@ -205,7 +203,7 @@ def test_continuity_rule_extracts_the_identity_as_the_generic():
 
 def test_continuity_rule_extracts_a_constant_as_a_pure_section():
     space = baire_space(2, 3)
-    points = stream_values(2, 4)
+    points = eventually_constant_points(2, 4)
     target = Point((1, 1), 0)
     f, modulus, transcript = continuity_rule({q: target for q in points}, space)
     section = transcript.stage("section")["value"]
@@ -217,7 +215,7 @@ def test_continuity_rule_extracts_a_constant_as_a_pure_section():
 
 def test_continuity_rule_rejects_a_tail_reading_table():
     space = baire_space(2, 3)
-    points = stream_values(2, 4)
+    points = eventually_constant_points(2, 4)
     rel = {q: Point((), q.tail) for q in points}
     with pytest.raises(NoModulus) as err:
         continuity_rule(rel, space)
@@ -226,7 +224,7 @@ def test_continuity_rule_rejects_a_tail_reading_table():
 
 def test_continuity_rule_requires_a_total_table():
     space = baire_space(2, 2)
-    points = stream_values(2, 3)
+    points = eventually_constant_points(2, 3)
     rel = {q: q for q in points[1:]}
     with pytest.raises(ValueError, match="no value"):
         continuity_rule(rel, space)
@@ -234,7 +232,7 @@ def test_continuity_rule_requires_a_total_table():
 
 def test_continuity_recheck_flags_a_tampered_graph():
     space = baire_space(2, 2)
-    points = stream_values(2, 3)
+    points = eventually_constant_points(2, 3)
     f, _, transcript = continuity_rule({q: q for q in points}, space)
     pairs = transcript.stage("graph")["pairs"]
     swapped = (((pairs[0][0], Point((1, 1), 0)),) + pairs[1:])

@@ -1,7 +1,6 @@
-import itertools
-
 import pytest
 
+from sheafbench import sheaves
 from sheafbench.double import build_double
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.sheaves import (
@@ -12,23 +11,20 @@ from sheafbench.sheaves import (
     NotASection,
     derived_sheaves,
     finseq_sheaf,
-    finseq_values,
     make_section,
     map_to_section,
     nat_sheaf,
     pure_density_check,
-    pure_section,
     restrict_section,
     section_map_bijection_check,
     section_to_map,
     sheaf_check,
     sheaf_check_covering_system,
-    stream_obs_values,
     stream_sheaf,
     value_at,
 )
 from sheafbench.site import Basis, CoveringSystem, FormalSpace, generate_topology
-from sheafbench.spaces import baire_space, cantor_space
+from sheafbench.spaces import all_sequences, baire_space, cantor_space
 
 
 def _leaf_section(space, leaf_values):
@@ -40,8 +36,8 @@ def test_make_section_merges_constant_zones():
     sec = _leaf_section(
         space, {(0, 0): 7, (0, 1): 7, (1, 0): 7, (1, 1): 7}
     )
-    assert sec == pure_section(space, (), 7)
-    assert sec.is_pure()
+    assert sec == NatSection((), (((), 7),))
+    assert sec.pieces == ((sec.root, 7),)
 
 
 def test_make_section_keeps_maximal_zone_opens():
@@ -78,7 +74,7 @@ def test_restriction_laws_hold_pointwise():
     left = restrict_section(space, sec, (0,))
     assert left.pieces == (((0, 0), 1), ((0, 1), 4))
     twice = restrict_section(space, left, (0, 0))
-    assert twice == pure_section(space, (0, 0), 1)
+    assert twice == NatSection((0, 0), (((0, 0), 1),))
 
 
 def test_nat_sheaf_counts_sections_by_atoms():
@@ -119,7 +115,7 @@ def test_singleton_sections_are_pure_values():
     dbl = build_double(inner, eventually_constant_points(2, 1))
     sheaf = nat_sheaf(dbl, 3)
     q = dbl.singleton(dbl.points[0])
-    assert set(sheaf.sections(q)) == {pure_section(dbl, q, n) for n in range(3)}
+    assert set(sheaf.sections(q)) == {NatSection(q, ((q, n),)) for n in range(3)}
 
 
 def test_section_value_at_singleton_follows_the_point():
@@ -148,7 +144,7 @@ def test_finseq_and_stream_sheaves_share_the_machinery():
 
 def test_finseq_values_enumeration():
     # canonical order is by length, then lexicographic
-    vals = finseq_values(2, 2)
+    vals = all_sequences(2, 2)
     assert vals == ((), (0,), (1,), (0, 0), (0, 1), (1, 0), (1, 1))
 
 
@@ -179,7 +175,7 @@ def test_bijection_on_double_root():
 def test_map_to_section_needs_single_values():
     space = cantor_space(1)
     sheaf = nat_sheaf(space, 2)
-    sec = pure_section(space, (), 1)
+    sec = NatSection((), (((), 1),))
     fmap = section_to_map(sheaf, sec)
     assert map_to_section(sheaf, (), fmap) == sec
 
@@ -215,7 +211,7 @@ def test_seq2_global_section_is_the_projection_graph():
         else:
             assignments.append((atom, obs_class(atom.point.prefix_of(2))))
     graph = make_section(dbl, dbl.d(()), assignments)
-    assert not graph.is_pure()
+    assert len(graph.pieces) > 1
     assert graph in seq2.sections(dbl.d(()))
     # each point open reads off its own stream's observation class
     for q in dbl.points:
@@ -240,7 +236,7 @@ def test_failing_presheaf_fails_on_c_families_too():
     space = cantor_space(1)
     rigid = ConstantPresheaf(space, (0, 1), lambda a: (a,), label="rigid")
     assert not sheaf_check(rigid).ok
-    assert not sheaf_check_covering_system(rigid, cross_sample=0).ok
+    assert not sheaf_check_covering_system(rigid).ok
 
 
 def test_pure_density_contract_rejects_stream_sheaves():
@@ -261,3 +257,16 @@ def test_empty_cover_rejected_by_sheaf_factories():
     space = FormalSpace(basis, generate_topology(system), system)
     with pytest.raises(EmptyCoverPresent):
         nat_sheaf(space, 2)
+
+
+def test_derived_sheaves_check_positivity_once(monkeypatch):
+    calls = []
+    require_positive = sheaves.require_positive
+
+    def counted(space):
+        calls.append(space)
+        require_positive(space)
+
+    monkeypatch.setattr(sheaves, "require_positive", counted)
+    derived_sheaves(cantor_space(2))
+    assert len(calls) == 1

@@ -1,17 +1,120 @@
-"""Source-level guards on the package itself."""
+"""Source-level guards on the package, its tests and the benchmark's use of it."""
 import ast
+import importlib
+import importlib.util
+import inspect
 import pathlib
 
 import sheafbench
 
+PACKAGE = pathlib.Path(sheafbench.__file__).parent
+TESTS = pathlib.Path(__file__).parent
+BENCH = TESTS.parent / "perfbench"
+
+
+def _tree(path: pathlib.Path) -> ast.Module:
+    return ast.parse(path.read_text(encoding="utf-8"))
+
 
 def test_no_assert_statements_in_the_package():
     # python -O strips assert statements, and with them any check they make
-    package = pathlib.Path(sheafbench.__file__).parent
     found = [
         f"{path.name}:{node.lineno}"
-        for path in sorted(package.glob("*.py"))
-        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(_tree(path))
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def _unused_imports(path: pathlib.Path) -> list:
+    tree = _tree(path)
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used]
+
+
+def test_every_imported_name_is_used():
+    # __init__.py imports names to re-export them
+    modules = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    modules += sorted(TESTS.glob("*.py"))
+    assert [found for path in modules for found in _unused_imports(path)] == []
+
+
+def _load(path: pathlib.Path):
+    spec = importlib.util.spec_from_file_location(f"_bench_{path.stem}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_traced_entry_point_resolves():
+    # the tracer wraps these by name; a rename in the package would leave a
+    # layer unmeasured without failing any test of the package itself
+    missing = []
+    for layer, targets in _load(BENCH / "tracer.py").LAYERS.items():
+        for module_name, attribute_path in targets:
+            owner = importlib.import_module(f"sheafbench.{module_name}")
+            try:
+                for part in attribute_path.split("."):
+                    owner = inspect.getattr_static(owner, part)
+            except AttributeError:
+                missing.append((layer, module_name, attribute_path))
+    assert missing == []
+
+
+def _bench_bindings(tree: ast.Module) -> tuple:
+    """Names a benchmark file takes from the package, and those it cannot."""
+    bound, missing = {}, []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.ImportFrom) and (node.module or "").startswith("sheafbench")):
+            continue
+        module = importlib.import_module(node.module)
+        for alias in node.names:
+            if hasattr(module, alias.name):
+                bound[alias.asname or alias.name] = getattr(module, alias.name)
+            elif importlib.util.find_spec(f"{node.module}.{alias.name}") is not None:
+                bound[alias.asname or alias.name] = importlib.import_module(
+                    f"{node.module}.{alias.name}")
+            else:
+                missing.append(f"{node.module}.{alias.name}")
+    return bound, missing
+
+
+def _call_target(func, bound: dict):
+    if isinstance(func, ast.Name):
+        return bound.get(func.id)
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        owner = bound.get(func.value.id)
+        if inspect.ismodule(owner):
+            return getattr(owner, func.attr, None)
+    return None
+
+
+def test_every_package_name_and_keyword_the_benchmark_uses_exists():
+    problems = []
+    for path in sorted(BENCH.glob("*.py")):
+        tree = _tree(path)
+        bound, missing = _bench_bindings(tree)
+        problems += [f"{path.name}: {name}" for name in missing]
+        for node in ast.walk(tree):
+            if not isinstance(node, ast.Call):
+                continue
+            target = _call_target(node.func, bound)
+            if not callable(target) or any(isinstance(a, ast.Starred) for a in node.args) or any(
+                k.arg is None for k in node.keywords
+            ):
+                continue
+            try:
+                inspect.signature(target).bind_partial(
+                    *node.args, **{k.arg: k.value for k in node.keywords})
+            except TypeError as err:
+                problems.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}: {err}")
+    assert problems == []
