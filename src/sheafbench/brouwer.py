@@ -133,12 +133,11 @@ def tree_cover_test(space: TruncatedSpace, u, sieve: Sieve, trees=None):
     budget = space.depth - len(u)
     if trees is None:
         trees = enumerate_trees(space.branch, budget)
-    members = frozenset(sieve.members)
     for tree in trees:
         if tree.depth > budget:
             continue
         image = k_map(tree, space.branch)
-        if all(u + w in members for w in image):
+        if all(u + w in sieve.members for w in image):
             return tree
     return None
 
@@ -359,12 +358,8 @@ def restrict_tree(space: FormalSpace, branch: int, tree: LabelledTree, q) -> Lab
     basis = space.basis
     if not basis.leq(q, tree.root):
         raise NotBelowRoot(q, tree.root)
-    visible = [
-        x
-        for x in basis.down(q)
-        if any(basis.leq(x, a) for a in tree.pieces)
-    ]
-    refined = cc_refine(space, q, Sieve.from_generators(basis, q, visible))
+    visible = Sieve.from_generators(basis, tree.root, tree.pieces).restrict(q)
+    refined = cc_refine(space, q, visible)
     pieces, flags, children = [], [], {}
     for r in refined:
         a = tree.piece_over(basis, r)

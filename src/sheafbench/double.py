@@ -64,18 +64,18 @@ class DoubleTopology(Topology):
         super().__init__(basis)
         self.inner = inner
 
+    def inner_sieve(self, x: DOpen, sieve: Sieve) -> Sieve:
+        """The D-part of ``sieve`` below ``x``, read as a sieve of the inner space."""
+        dpart = (v.seq for v in sieve.members if isinstance(v, DOpen))
+        return Sieve.from_generators(self.inner.basis, x.seq, dpart)
+
     def cover(self, x, sieve: Sieve, fuel: int | None = None) -> CoverResult:
         self.basis.require(x)
         if isinstance(x, SingletonOpen):
             hit = sieve.contains(x)
             return CoverResult(hit, depth=0 if hit else None,
                                frontier=() if hit else (x,))
-        dpart = [
-            v for v in self.inner.basis.down(x.seq)
-            if sieve.contains(DOpen(v))
-        ]
-        inner_sieve = Sieve.from_generators(self.inner.basis, x.seq, dpart)
-        res = self.inner.topology.cover(x.seq, inner_sieve, fuel=fuel)
+        res = self.inner.topology.cover(x.seq, self.inner_sieve(x, sieve), fuel=fuel)
         return CoverResult(
             res.covered,
             depth=res.depth,

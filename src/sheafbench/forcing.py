@@ -96,7 +96,6 @@ def table_value(table: Mapping, branch: int, label: str = "") -> SectionValue:
 class ForcingModel:
     space: FormalSpace
     universes: Mapping  # sort -> tuple of values
-    atoms: Mapping      # atom name -> callable(model, stage, arg values) -> bool
     constants: Mapping  # name -> (sort, value)
     bar: Bar | None = None
     rel_table: Mapping | None = None  # Point -> Point
@@ -242,7 +241,7 @@ def _force(run: _Run, stage, node, env: dict) -> bool:
     if isinstance(node, F.Falsum):
         out = topology.cover(stage, Sieve.empty(basis, stage)).covered
     elif isinstance(node, F.Atom):
-        impl = model.atoms.get(node.name)
+        impl = ATOMS.get(node.name)
         if impl is None:
             raise ModelError(f"unknown atom {node.name!r}")
         args = tuple(eval_term(model, env, t) for t in node.args)
@@ -250,12 +249,10 @@ def _force(run: _Run, stage, node, env: dict) -> bool:
     elif isinstance(node, F.And):
         out = _force(run, stage, node.left, env) and _force(run, stage, node.right, env)
     elif isinstance(node, (F.Or, F.Exists)):
-        good = _zone(run, node, env)
-        members = [v for v in basis.down(stage) if v in good]
-        out = topology.cover(stage, Sieve.from_generators(basis, stage, members)).covered
+        sieve = Sieve.from_generators(basis, stage, _zone(run, node, env))
+        out = topology.cover(stage, sieve).covered
     elif isinstance(node, (F.Implies, F.Forall)):
-        bad = _zone(run, node, env)
-        out = not any(v in bad for v in basis.down(stage))
+        out = basis.below(stage).isdisjoint(_zone(run, node, env))
     else:
         raise ModelError(f"not a formula: {node!r}")
 
@@ -407,15 +404,15 @@ def rel_atom(model, stage, args) -> bool:
     return True
 
 
-def standard_atoms() -> dict:
-    return {
-        "Eq": eq_atom,
-        "Leq": leq_atom,
-        "Prefix": prefix_atom,
-        "App": app_atom,
-        "InBar": inbar_atom,
-        "Rel": rel_atom,
-    }
+# atom name -> callable(model, stage, arg values) -> bool
+ATOMS = {
+    "Eq": eq_atom,
+    "Leq": leq_atom,
+    "Prefix": prefix_atom,
+    "App": app_atom,
+    "InBar": inbar_atom,
+    "Rel": rel_atom,
+}
 
 
 GENERIC_NAME = "pi"
@@ -469,7 +466,6 @@ def standard_model(
     return ForcingModel(
         space=space,
         universes=universes,
-        atoms=standard_atoms(),
         constants=constants,
         bar=bar,
         rel_table=dict(rel_table) if rel_table is not None else None,
@@ -532,7 +528,7 @@ def classical_truth(model: ForcingModel, point: Point, formula,
             if image is None:
                 raise ModelError(f"the function table has no value at {point}")
             return point_observation(model, image, v2.branch) == obs_members(v2)
-        impl = model.atoms.get(name)
+        impl = ATOMS.get(name)
         if impl is None:
             raise ModelError(f"unknown atom {name!r}")
         return bool(impl(model, None, args))
@@ -587,13 +583,8 @@ def cc_refine(space: FormalSpace, a, sieve: Sieve) -> tuple:
     if isinstance(space, DoubleSpace):
         if isinstance(a, SingletonOpen):
             return (a,)
-        inner = space.inner
-        inner_sieve = Sieve.from_generators(
-            inner.basis,
-            a.seq,
-            [v for v in inner.basis.down(a.seq) if sieve.contains(DOpen(v))],
-        )
-        return tuple(DOpen(v) for v in cc_refine(inner, a.seq, inner_sieve))
+        inner_sieve = space.topology.inner_sieve(a, sieve)
+        return tuple(DOpen(v) for v in cc_refine(space.inner, a.seq, inner_sieve))
 
     if isinstance(space, TruncatedSpace):
         def descend(u):

@@ -90,9 +90,7 @@ def _saturate(source: FormalSpace, target: FormalSpace, seed: set) -> set:
             for a in source.basis.elements:
                 if a in fiber:
                     continue
-                below = Sieve.from_generators(
-                    source.basis, a, [p for p in fiber if source.basis.leq(p, a)]
-                )
+                below = Sieve.from_generators(source.basis, a, fiber)
                 if source.topology.cover(a, below).covered:
                     pairs.add((a, q))
                     grew = True
@@ -140,13 +138,11 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
         img = fmap.image(p)
         for i, q1 in enumerate(img):
             for q2 in img[i:]:
+                common = tgt.basis.below(q1) & tgt.basis.below(q2)
                 refined = [
                     p2
                     for p2 in src.basis.down(p)
-                    if any(
-                        tgt.basis.leq(w, q1) and tgt.basis.leq(w, q2)
-                        for w in fmap.image(p2)
-                    )
+                    if not common.isdisjoint(fmap.image(p2))
                 ]
                 s = Sieve.from_generators(src.basis, p, refined)
                 if not src.topology.cover(p, s).covered:
@@ -156,13 +152,11 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
     if tgt.system is not None:
         for (p, q) in fmap.sorted_pairs():
             for fam in tgt.system.families_at(q):
+                covered = Sieve.from_generators(tgt.basis, q, fam).members
                 pulled = [
                     p2
                     for p2 in src.basis.down(p)
-                    if any(
-                        any(tgt.basis.leq(q2, x) for x in fam)
-                        for q2 in fmap.image(p2)
-                    )
+                    if not covered.isdisjoint(fmap.image(p2))
                 ]
                 s = Sieve.from_generators(src.basis, p, pulled)
                 if not src.topology.cover(p, s).covered:
@@ -176,9 +170,7 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
         for a in src.basis.elements:
             if a in fiber:
                 continue
-            below = Sieve.from_generators(
-                src.basis, a, [p for p in fiber if src.basis.leq(p, a)]
-            )
+            below = Sieve.from_generators(src.basis, a, fiber)
             if src.topology.cover(a, below).covered:
                 if report(5, (a, q)):
                     return MapCheck(False, tuple(failures))
@@ -189,12 +181,10 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
 def identity_map(space: FormalSpace) -> ContinuousMap:
     """p related to q exactly when the part of p under q covers p."""
     pairs = set()
+    whole = {q: Sieve.maximal(space.basis, q) for q in space.basis.elements}
     for p in space.basis.elements:
         for q in space.basis.elements:
-            below = Sieve.from_generators(
-                space.basis, p, [r for r in space.basis.down(p) if space.basis.leq(r, q)]
-            )
-            if space.topology.cover(p, below).covered:
+            if space.topology.cover(p, whole[q].restrict(p)).covered:
                 pairs.add((p, q))
     return ContinuousMap(space, space, frozenset(pairs))
 

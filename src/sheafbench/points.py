@@ -97,7 +97,7 @@ def is_point(space: FormalSpace, subject) -> PointCheck:
                 return PointCheck(False, 1, (u, v))
     for u in ordered:
         for v in ordered:
-            if not any(basis.leq(w, u) and basis.leq(w, v) for w in alpha):
+            if (basis.below(u) & basis.below(v)).isdisjoint(alpha):
                 return PointCheck(False, 2, (u, v))
     for u in ordered:
         fams = space.system.families_at(u) if space.system is not None else ()

@@ -8,7 +8,7 @@ from __future__ import annotations
 import random
 
 from . import formulas as F
-from .site import Basis, CoveringAxiomViolation, CoveringSystem
+from .site import Basis, CoveringAxiomViolation, CoveringSystem, Sieve
 from .spaces import TruncatedSpace, Bar, bar_from_generators
 
 
@@ -47,11 +47,8 @@ def random_covering_system(rng: random.Random, basis: Basis) -> CoveringSystem:
             system.validate()
             return system
         except CoveringAxiomViolation as v:
-            restriction = tuple(
-                r
-                for r in basis.down(v.q)
-                if any(basis.leq(r, x) for x in v.family)
-            )
+            members = Sieve.from_generators(basis, v.p, v.family).restrict(v.q).members
+            restriction = tuple(r for r in basis.down(v.q) if r in members)
             if restriction in families[v.q]:
                 raise AssertionError("repair loop failed to make progress")
             families[v.q].append(restriction)

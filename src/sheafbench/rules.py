@@ -412,7 +412,7 @@ def _recheck_bar(transcript: ExtractionTranscript, fuel: int | None = None) -> t
     witnesses = transcript.stage("cover")["witnesses"]
     if not all(
         seq_leq(v, u) and bar.holds(u) and bar.holds(v) for v, u in witnesses
-    ) or frozenset(v for v, _ in witnesses) != frozenset(cover.members):
+    ) or frozenset(v for v, _ in witnesses) != cover.members:
         failed.append("cover")
 
     induction = transcript.stage("induction")["transcript"]

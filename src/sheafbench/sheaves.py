@@ -237,7 +237,7 @@ def stream_sheaf(
     )
 
 
-def derived_sheaves(space: FormalSpace, len_cap: int | None = None) -> dict:
+def derived_sheaves(space: FormalSpace) -> dict:
     """The sort sheaves built on top of the naturals: booleans, lists, streams.
 
     Keys: ``two``, ``finseq2``, ``seq2``, ``finseqN``, ``seqN`` where N is the
@@ -247,16 +247,14 @@ def derived_sheaves(space: FormalSpace, len_cap: int | None = None) -> dict:
     if not isinstance(inner, TruncatedSpace):
         raise TypeError("derived sheaves need a truncated space or a double")
     branch, depth = inner.branch, inner.depth
-    if len_cap is None:
-        len_cap = depth
     require_positive(space)
     atoms = space_atoms(space)
     return {
         "two": ConstantPresheaf(space, (0, 1), atoms, label="two"),
-        "finseq2": ConstantPresheaf(space, all_sequences(2, len_cap), atoms, label="finseq2"),
+        "finseq2": ConstantPresheaf(space, all_sequences(2, depth), atoms, label="finseq2"),
         "seq2": ConstantPresheaf(space, stream_obs_values(2, depth), atoms, label="seq2"),
         "finseqN": ConstantPresheaf(
-            space, all_sequences(branch, len_cap), atoms, label="finseqN"
+            space, all_sequences(branch, depth), atoms, label="finseqN"
         ),
         "seqN": ConstantPresheaf(space, stream_obs_values(branch, depth), atoms, label="seqN"),
     }

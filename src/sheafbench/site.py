@@ -1,16 +1,16 @@
 """Finite preorders of basic opens, sieves, and inductively generated covers.
 
 Everything here is deliberately small: a basis is a finite, explicitly
-enumerated preorder, a sieve is carried by a finite generator antichain with
-membership decided through the order, and cover questions are settled by
-saturating an inductive definition over the fragment below the root.  All
-values are immutable after construction, so they can be shared freely and
-cached results are safe to reuse.
+enumerated preorder held as the down-set of each element, a sieve is its
+member set (the union of its generators' down-sets), and cover questions are
+settled by saturating an inductive definition over the fragment below the
+root.  All values are immutable after construction, so they can be shared
+freely and cached results are safe to reuse.
 """
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, Hashable, Iterable, Mapping
 
@@ -68,16 +68,19 @@ def element_key(x: Element):
 
 
 class Basis:
-    """A finite preorder of basic opens with a decidable order relation.
+    """A finite preorder of basic opens, held as the down-set of each element.
 
     ``leq(a, b)`` reads "a lies below b"; reflexivity and transitivity are
-    required.
+    required.  The relation is called only to build an element's down-set,
+    once per element on first use; every order question after that
+    (``leq``, ``down``, ``up``, ``disjoint``) is a lookup in those sets.
     """
 
     def __init__(self, elements: Iterable[Element], leq: Callable[[Element, Element], bool]):
         self._elements = tuple(sorted(set(elements), key=element_key))
         self._index = frozenset(self._elements)
-        self._leq = leq
+        self._relation = leq
+        self._below: dict[Element, frozenset] = {}
         self._down: dict[Element, tuple] = {}
         self._up: dict[Element, tuple] = {}
 
@@ -116,66 +119,65 @@ class Basis:
         if x not in self._index:
             raise UnknownElement(x)
 
-    def leq(self, a: Element, b: Element) -> bool:
-        return self._leq(a, b)
-
-    def down(self, a: Element) -> tuple:
-        """All enumerated elements below ``a``, in canonical order."""
-        got = self._down.get(a)
+    def below(self, a: Element) -> frozenset:
+        """The down-set of ``a``: every enumerated element below it."""
+        got = self._below.get(a)
         if got is None:
             self.require(a)
-            got = tuple(v for v in self._elements if self._leq(v, a))
-            self._down[a] = got
+            self._down[a] = tuple(v for v in self._elements if self._relation(v, a))
+            got = self._below[a] = frozenset(self._down[a])
+        return got
+
+    def leq(self, a: Element, b: Element) -> bool:
+        return a in self.below(b)
+
+    def down(self, a: Element) -> tuple:
+        """The down-set of ``a`` in canonical order."""
+        got = self._down.get(a)
+        if got is None:
+            self.below(a)
+            got = self._down[a]
         return got
 
     def disjoint(self, a: Element, b: Element) -> bool:
         """No enumerated element lies below both ``a`` and ``b``."""
-        return not (set(self.down(a)) & set(self.down(b)))
+        return self.below(a).isdisjoint(self.below(b))
 
     def up(self, a: Element) -> tuple:
         got = self._up.get(a)
         if got is None:
             self.require(a)
-            got = tuple(v for v in self._elements if self._leq(a, v))
+            got = tuple(v for v in self._elements if a in self.below(v))
             self._up[a] = got
         return got
 
 
 @dataclass(frozen=True)
 class Sieve:
-    """A downward closed set of basic opens below ``root``.
+    """A downward closed set of basic opens below ``root``, held as its members.
 
-    Only the generator antichain is stored; membership of ``v`` means
-    ``v <= g`` for some generator ``g``.  Construction normalizes arbitrary
-    generator lists, so equal sieves compare equal structurally.
+    The members are the union of the down-sets of the generators that lie
+    below the root, so membership is a set lookup, restriction intersects
+    with a down-set, and equal sieves compare and hash equal.  The given
+    generators are kept apart from comparisons; ``generators`` reads off the
+    given ones that are maximal among the members, the first in canonical
+    order of each order-equivalence class.
     """
 
-    basis: Basis
+    basis: Basis = field(compare=False)
     root: Element
-    generators: tuple
+    members: frozenset
+    given: frozenset = field(compare=False)
 
     @staticmethod
     def from_generators(basis: Basis, root: Element, gens: Iterable[Element]) -> "Sieve":
-        basis.require(root)
-        leq = basis.leq
-        inside = []
-        for g in gens:
-            basis.require(g)
-            if leq(g, root):
-                inside.append(g)
-        # collapse order-equivalent generators to the canonically least one
-        inside = sorted(set(inside), key=element_key)
-        chosen: list = []
-        for g in inside:
-            if any(leq(g, h) and leq(h, g) for h in chosen):
-                continue
-            chosen.append(g)
-        # drop generators strictly below another generator
-        kept = tuple(
-            g for g in chosen
-            if not any(h is not g and leq(g, h) and not leq(h, g) for h in chosen)
-        )
-        return Sieve(basis, root, kept)
+        """The sieve on ``root`` generated by those of ``gens`` below it."""
+        given = frozenset(gens)
+        unknown = given - basis._index
+        if unknown:
+            raise UnknownElement(min(unknown, key=element_key))
+        given &= basis.below(root)
+        return Sieve(basis, root, frozenset().union(*map(basis.below, given)), given)
 
     @staticmethod
     def maximal(basis: Basis, root: Element) -> "Sieve":
@@ -184,22 +186,28 @@ class Sieve:
     @staticmethod
     def empty(basis: Basis, root: Element) -> "Sieve":
         basis.require(root)
-        return Sieve(basis, root, ())
-
-    def contains(self, v: Element) -> bool:
-        leq = self.basis.leq
-        return any(leq(v, g) for g in self.generators)
+        return Sieve(basis, root, frozenset(), frozenset())
 
     @cached_property
-    def members(self) -> tuple:
-        return tuple(v for v in self.basis.down(self.root) if self.contains(v))
+    def generators(self) -> tuple:
+        below = self.basis.below
+        given = sorted(self.given, key=element_key)
+        kept: list = []
+        for g in given:
+            # an earlier generator of its class, or one above it, was kept
+            if any(g in below(h) for h in kept):
+                continue
+            if all(h in below(g) for h in given if g in below(h)):
+                kept.append(g)
+        return tuple(kept)
+
+    def contains(self, v: Element) -> bool:
+        return v in self.members
 
     def restrict(self, b: Element) -> "Sieve":
         """The sieve ``{v <= b : v in self}`` rooted at ``b``."""
-        self.basis.require(b)
-        return Sieve.from_generators(
-            self.basis, b, (v for v in self.basis.down(b) if self.contains(v))
-        )
+        members = self.members & self.basis.below(b)
+        return Sieve(self.basis, b, members, members)
 
     def __repr__(self) -> str:
         return f"Sieve(root={self.root!r}, generators={list(self.generators)!r})"
@@ -295,7 +303,7 @@ class CoveringSystem:
                 fam_t = tuple(sorted(set(fam), key=element_key))
                 for x in fam_t:
                     basis.require(x)
-                    if not basis.leq(x, a):
+                    if x not in basis.below(a):
                         raise ValueError(f"family member {x!r} is not below {a!r}")
                 packed.append(fam_t)
             table[a] = tuple(packed)
@@ -314,13 +322,10 @@ class CoveringSystem:
         basis = self.basis
         for p in basis.elements:
             for alpha in self.families_at(p):
+                generated = Sieve.from_generators(basis, p, alpha)
                 for q in basis.down(p):
-                    restriction = {
-                        r for r in basis.down(q) if any(basis.leq(r, x) for x in alpha)
-                    }
-                    if not any(
-                        all(b in restriction for b in beta) for beta in self.families_at(q)
-                    ):
+                    restriction = generated.restrict(q).members
+                    if not any(restriction.issuperset(beta) for beta in self.families_at(q)):
                         raise CoveringAxiomViolation(p, alpha, q)
 
 
@@ -368,13 +373,12 @@ class GeneratedTopology(Topology):
         self._depths: dict[tuple, Mapping[Element, int]] = {}
 
     def _depth_map(self, a: Element, sieve: Sieve) -> Mapping[Element, int]:
-        key = (a, sieve.root, sieve.generators)
+        key = (a, sieve.members)
         got = self._depths.get(key)
         if got is not None:
             return got
-        basis = self.basis
-        fragment = basis.down(a)
-        depths: dict[Element, int] = {v: 0 for v in fragment if sieve.contains(v)}
+        fragment = self.basis.down(a)
+        depths: dict[Element, int] = {v: 0 for v in fragment if v in sieve.members}
         rules = [
             (v, alpha)
             for v in fragment
@@ -420,7 +424,7 @@ class GeneratedTopology(Topology):
         depths = self._depth_map(a, sieve)
 
         def build(v):
-            if sieve.contains(v):
+            if v in sieve.members:
                 return ("base", v)
             dv = depths[v]
             for alpha in self.system.families_at(v):
@@ -468,7 +472,7 @@ def cover_induction(
         for alpha in system.families_at(x):
             if all(predicate(y) for y in alpha) and not predicate(x):
                 raise HypothesisFails(x, alpha)
-    for y in sieve.members:
+    for y in sorted(sieve.members, key=element_key):
         if not predicate(y):
             raise HypothesisFails(y, None)
     if not topology.cover(a, sieve, fuel).covered:
@@ -582,7 +586,8 @@ def check_topology_axioms(space: FormalSpace, sieve_cap: int = 64) -> AxiomRepor
             for s in samples[a]:
                 checked += 1
                 if all(
-                    topology.cover(b, s.restrict(b)).covered for b in r.members
+                    topology.cover(b, s.restrict(b)).covered
+                    for b in basis.down(a) if b in r.members
                 ):
                     if not topology.cover(a, s).covered:
                         local_fail.append((a, r.generators, s.generators))

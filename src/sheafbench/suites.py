@@ -18,7 +18,7 @@ from .forcing import choice_amalgamation, cc_refine, classical_truth, force, sta
 from .maps import one_point_space
 from .points import Point, eventually_constant_points
 from .randomgen import random_covering_system, random_formula, random_monotone_bar, random_preorder
-from .sheaves import derived_sheaves, nat_sheaf, pure_density_check, section_map_bijection_check, sheaf_check, sheaf_check_covering_system
+from .sheaves import ConstantPresheaf, derived_sheaves, nat_sheaf, pure_density_check, section_map_bijection_check, sheaf_check, sheaf_check_covering_system, space_atoms
 from .site import FormalSpace, GeneratedTopology, InductiveDefinition, Sieve, check_topology_axioms, element_key, inductive_close, set_compactness_witness, sieves_on
 from .spaces import Bar, bar_from_generators, bar_to_sieve, baire_space, cantor_space, kfinite_subcover, u_bracket
 
@@ -343,8 +343,10 @@ def sheaf_suite(depth: int = 3, n_max: int = 2, budget: int = 512,
     witnesses = []
     checked = 0
     for space_label, space in _standard_spaces(depth):
-        sheaves = {"nat": nat_sheaf(space, n_max)}
-        sheaves.update(derived_sheaves(space))
+        # derived_sheaves checks positivity for all six
+        derived = derived_sheaves(space)
+        nat = ConstantPresheaf(space, tuple(range(n_max)), space_atoms(space), label="nat")
+        sheaves = {"nat": nat, **derived}
         for sheaf_label, presheaf in sheaves.items():
             elems = _budgeted(presheaf, budget)
             if not elems:
@@ -363,7 +365,6 @@ def sheaf_suite(depth: int = 3, n_max: int = 2, budget: int = 512,
                 if not density.ok:
                     witnesses.append({"space": space_label, "sheaf": sheaf_label,
                                       "density_failures": len(density.failures)})
-        nat = sheaves["nat"]
         root = space.d(()) if hasattr(space, "d") else ()
         if nat.section_count(root) <= budget:
             bijection = section_map_bijection_check(nat, root)
@@ -392,7 +393,6 @@ def cc_suite(seed: int = 0, samples: int = 100, depth: int = 2,
                     continue
                 checked += 1
                 refined = cc_refine(space, a, sieve)
-                members = frozenset(sieve.members)
                 disjoint = all(
                     not any(basis.leq(z, x) and basis.leq(z, y) for z in basis.elements)
                     for x, y in itertools.combinations(refined, 2)
@@ -400,7 +400,7 @@ def cc_suite(seed: int = 0, samples: int = 100, depth: int = 2,
                 covers = space.topology.cover(
                     a, Sieve.from_generators(basis, a, refined)
                 ).covered
-                if not disjoint or not covers or not all(r in members for r in refined):
+                if not disjoint or not covers or not all(r in sieve.members for r in refined):
                     witnesses.append({"space": label, "root": a,
                                       "generators": sieve.generators, "refined": refined})
                 else:

@@ -25,6 +25,7 @@ from sheafbench.sheaves import (
 )
 from sheafbench.site import Basis, CoveringSystem, FormalSpace, generate_topology
 from sheafbench.spaces import all_sequences, baire_space, cantor_space
+from sheafbench.suites import sheaf_suite
 
 
 def _leaf_section(space, leaf_values):
@@ -270,3 +271,16 @@ def test_derived_sheaves_check_positivity_once(monkeypatch):
     monkeypatch.setattr(sheaves, "require_positive", counted)
     derived_sheaves(cantor_space(2))
     assert len(calls) == 1
+
+
+def test_sheaf_suite_checks_positivity_once_per_space(monkeypatch):
+    calls = []
+    require_positive = sheaves.require_positive
+
+    def counted(space):
+        calls.append(space)
+        require_positive(space)
+
+    monkeypatch.setattr(sheaves, "require_positive", counted)
+    assert sheaf_suite(depth=1, budget=4).passed
+    assert len(calls) == len({id(space) for space in calls}) == 4

@@ -5,6 +5,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from sheafbench.randomgen import random_covering_system, random_preorder
 from sheafbench.site import (
@@ -19,6 +20,7 @@ from sheafbench.site import (
     UnknownElement,
     check_topology_axioms,
     cover_induction,
+    element_key,
     FormalSpace,
     generate_topology,
     inductive_close,
@@ -26,16 +28,45 @@ from sheafbench.site import (
     set_compactness_witness,
     sieves_on,
 )
-from sheafbench.spaces import baire_space, cantor_space, seq_leq
+from sheafbench.spaces import all_sequences, baire_space, cantor_space, seq_leq
 
 
-def _brute_members(basis, root, gens):
-    """Oracle: downward closure of the generators, enumerated directly."""
-    return {
-        v
-        for v in basis.elements
-        if basis.leq(v, root) and any(basis.leq(v, g) for g in gens)
-    }
+def _brute_members(leq, elements, root, gens):
+    """Oracle: downward closure of the generators below the root, read off the raw relation."""
+    inside = [g for g in gens if leq(g, root)]
+    return {v for v in elements if any(leq(v, g) for g in inside)}
+
+
+def _brute_generators(leq, root, gens):
+    """Oracle: the generator antichain, normalized pairwise through the raw relation.
+
+    Generators below the root, one per order-equivalence class (the first in
+    canonical order), then those strictly below another are dropped.
+    """
+    chosen = []
+    for g in sorted({g for g in gens if leq(g, root)}, key=element_key):
+        if not any(leq(g, h) and leq(h, g) for h in chosen):
+            chosen.append(g)
+    return tuple(
+        g for g in chosen
+        if not any(h != g and leq(g, h) and not leq(h, g) for h in chosen)
+    )
+
+
+@st.composite
+def _preorders(draw):
+    """Labels and the reflexive-transitive closure of random pairs, as a relation."""
+    n = draw(st.integers(1, 7))
+    le = [[i == j for j in range(n)] for i in range(n)]
+    for i, j in draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)))):
+        le[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            for j in range(n):
+                le[i][j] = le[i][j] or (le[i][k] and le[k][j])
+    labels = [f"e{i}" for i in range(n)]
+    index = {label: i for i, label in enumerate(labels)}
+    return labels, lambda a, b: le[index[a]][index[b]]
 
 
 def _paths(branch, depth, start):
@@ -62,7 +93,7 @@ def test_restrict_to_disjoint_branch_is_empty():
     r = s.restrict((1,))
     assert r.root == (1,)
     assert r.generators == ()
-    assert r.members == ()
+    assert r.members == frozenset()
 
 
 def test_restrict_maximal_sieve_is_maximal_below():
@@ -77,7 +108,7 @@ def test_restrict_keeps_only_comparable_generators():
     space = cantor_space(2)
     s = Sieve.from_generators(space.basis, (), [(0, 0), (1,)])
     r = s.restrict((0,))
-    assert set(r.members) == _brute_members(space.basis, (0,), [(0, 0)])
+    assert set(r.members) == _brute_members(seq_leq, space.basis.elements, (0,), [(0, 0)])
 
 
 def test_restrict_matches_membership_oracle_on_random_generators():
@@ -89,7 +120,7 @@ def test_restrict_matches_membership_oracle_on_random_generators():
         b = rng.choice(pool)
         s = Sieve.from_generators(space.basis, (), gens)
         assert set(s.restrict(b).members) == {
-            v for v in _brute_members(space.basis, (), gens) if seq_leq(v, b)
+            v for v in _brute_members(seq_leq, space.basis.elements, (), gens) if seq_leq(v, b)
         }
 
 
@@ -97,6 +128,43 @@ def test_sieve_generators_form_an_antichain():
     space = cantor_space(3)
     s = Sieve.from_generators(space.basis, (), [(0,), (0, 0), (0, 1), (1, 1)])
     assert s.generators == ((0,), (1, 1))
+
+
+def test_equal_sieves_compare_equal_and_keep_their_given_generators():
+    basis = Basis.from_pairs(["e0", "e1"], [("e0", "e1"), ("e1", "e0")])
+    by_e0 = Sieve.from_generators(basis, "e0", ["e0"])
+    by_e1 = Sieve.from_generators(basis, "e0", ["e1"])
+    assert by_e0 == by_e1
+    assert hash(by_e0) == hash(by_e1)
+    assert by_e0.generators == ("e0",)
+    assert by_e1.generators == ("e1",)
+
+
+@given(_preorders(), st.data())
+def test_order_and_sieves_match_the_raw_relation(order, data):
+    labels, leq = order
+    basis = Basis(labels, leq)
+    root = data.draw(st.sampled_from(labels))
+    gens = data.draw(st.lists(st.sampled_from(labels), max_size=5))
+    b = data.draw(st.sampled_from(labels))
+    sieve = Sieve.from_generators(basis, root, gens)
+    members = _brute_members(leq, labels, root, gens)
+    assert sieve.members == members
+    assert [sieve.contains(v) for v in labels] == [v in members for v in labels]
+    assert sieve.generators == _brute_generators(leq, root, gens)
+    by_members = Sieve.from_generators(basis, root, members)
+    assert by_members == sieve and hash(by_members) == hash(sieve)
+    restricted = sieve.restrict(b)
+    below_b = {v for v in members if leq(v, b)}
+    assert (restricted.root, restricted.members) == (b, below_b)
+    assert restricted.generators == _brute_generators(leq, b, below_b)
+    ordered = sorted(labels, key=element_key)
+    for x in labels:
+        assert basis.down(x) == tuple(v for v in ordered if leq(v, x))
+        assert basis.up(x) == tuple(v for v in ordered if leq(x, v))
+        for y in labels:
+            assert basis.leq(x, y) == leq(x, y)
+            assert basis.disjoint(x, y) == (not any(leq(z, x) and leq(z, y) for z in labels))
 
 
 def test_restrict_unknown_element_raises():
@@ -280,6 +348,24 @@ def test_axioms_hold_on_truncated_tree_systems():
         generated = FormalSpace(space.basis, generate_topology(space.system), space.system)
         report = check_topology_axioms(generated, sieve_cap=40)
         assert report.ok, report
+
+
+def test_the_relation_is_read_at_most_once_per_ordered_pair():
+    calls = []
+
+    def counted(u, v):
+        calls.append((u, v))
+        return seq_leq(u, v)
+
+    elements = all_sequences(2, 4)
+    basis = Basis(elements, counted)
+    system = CoveringSystem(
+        basis, {u: [(u + (0,), u + (1,))] if len(u) < 4 else [(u,)] for u in elements}
+    )
+    report = check_topology_axioms(FormalSpace(basis, generate_topology(system), system))
+    assert report.ok
+    assert len(elements) == 31
+    assert len(calls) <= len(elements) ** 2
 
 
 def test_sieve_sampler_is_deterministic():
