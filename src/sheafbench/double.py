@@ -30,6 +30,12 @@ class DOpen:
 
     seq: tuple
 
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.seq,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     @property
     def sort_key(self):
         return (0, len(self.seq), self.seq)
@@ -43,6 +49,12 @@ class SingletonOpen:
     """The extra minimal open attached to one chosen point."""
 
     point: Point
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash", hash((self.point,)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def sort_key(self):

@@ -64,6 +64,13 @@ class SectionValue:
             raise ValueError(f"unknown section value kind {self.kind!r}")
         if self.kind == "pure" and self.point is None:
             raise ValueError("a pure section value needs a stream")
+        # memo keys hash the value on every lookup: compute the field
+        # tuple's hash once (a table's walks every pair)
+        object.__setattr__(self, "_hash", hash(
+            (self.kind, self.branch, self.point, self.table, self.label)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def sort_key(self):
@@ -183,24 +190,15 @@ class _Run:
         self.steps = 0
         self.memo: dict = {}
         self.zones: dict = {}
-        self.free_cache: dict = {}
 
     def tick(self):
         self.steps += 1
         if self.fuel is not None and self.steps > self.fuel:
             raise FuelExhausted(self.steps)
 
-    def free(self, node) -> tuple:
-        """Free names of the node, sorted, cached per node."""
-        got = self.free_cache.get(node)
-        if got is None:
-            got = tuple(sorted(F.free_names(node)))
-            self.free_cache[node] = got
-        return got
-
     def env_key(self, node, env: dict) -> tuple:
         """Relevant slice of the environment as a fixed-order value tuple."""
-        return tuple(env.get(k) for k in self.free(node))
+        return tuple(map(env.get, node.free))
 
 
 def eval_term(model: ForcingModel, env: Mapping, term):
@@ -231,8 +229,9 @@ def force(model: ForcingModel, stage, formula, env: Mapping | None = None,
 def _force(run: _Run, stage, node, env: dict) -> bool:
     model = run.model
     key = (node, stage, run.env_key(node, env))
-    if key in run.memo:
-        return run.memo[key]
+    out = run.memo.get(key)
+    if out is not None:
+        return out
     run.tick()
 
     basis = model.space.basis

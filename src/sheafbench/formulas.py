@@ -34,28 +34,81 @@ class ParseError(ValueError):
         self.position = position
 
 
+class _Node:
+    """A frozen syntax node that computes its hash and free names once.
+
+    ``_seal`` runs at construction: it stores the hash of the field tuple,
+    the value the generated ``__hash__`` would return on every call, and the
+    node's sorted free names, built from its children's ``free``.  Each node
+    class binds ``__hash__`` in its own body, because ``dataclass(frozen=True)``
+    writes a fresh one over an inherited method.
+    """
+
+    def _seal(self, fields: tuple, free: tuple) -> None:
+        object.__setattr__(self, "_hash", hash(fields))
+        object.__setattr__(self, "free", free)
+
+    def __hash__(self) -> int:
+        return self._hash
+
+
+class _Binary(_Node):
+    """A node with ``left`` and ``right`` children."""
+
+    def __post_init__(self):
+        self._seal((self.left, self.right), _union(self.left.free, self.right.free))
+
+
+class _Quantifier(_Node):
+    """A node binding ``var`` of ``sort`` in ``body``."""
+
+    def __post_init__(self):
+        free = self.body.free
+        if self.var in free:
+            free = tuple(n for n in free if n != self.var)
+        self._seal((self.var, self.sort, self.body), free)
+
+
+def _union(a: tuple, b: tuple) -> tuple:
+    """Sorted union of two sorted name tuples."""
+    if not a or a == b:
+        return b
+    if not b:
+        return a
+    return tuple(sorted({*a, *b}))
+
+
 # ---------------------------------------------------------------- terms
 
 @dataclass(frozen=True)
-class Lit:
+class Lit(_Node):
     value: int
+    __hash__ = _Node.__hash__
+
+    def __post_init__(self):
+        self._seal((self.value,), ())
 
     def __str__(self) -> str:
         return str(self.value)
 
 
 @dataclass(frozen=True)
-class Name:
+class Name(_Node):
     ident: str
+    __hash__ = _Node.__hash__
+
+    def __post_init__(self):
+        self._seal((self.ident,), (self.ident,))
 
     def __str__(self) -> str:
         return self.ident
 
 
 @dataclass(frozen=True)
-class Sum:
+class Sum(_Binary):
     left: object
     right: object
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"{self.left}+{self.right}"
@@ -64,62 +117,79 @@ class Sum:
 # ------------------------------------------------------------- formulas
 
 @dataclass(frozen=True)
-class Falsum:
+class Falsum(_Node):
+    __hash__ = _Node.__hash__
+
+    def __post_init__(self):
+        self._seal((), ())
+
     def __str__(self) -> str:
         return "false"
 
 
 @dataclass(frozen=True)
-class Atom:
+class Atom(_Node):
     name: str
     args: tuple
+    __hash__ = _Node.__hash__
+
+    def __post_init__(self):
+        free = ()
+        for arg in self.args:
+            free = _union(free, arg.free)
+        self._seal((self.name, self.args), free)
 
     def __str__(self) -> str:
         return f"{self.name}({', '.join(map(str, self.args))})"
 
 
 @dataclass(frozen=True)
-class And:
+class And(_Binary):
     left: object
     right: object
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"{_wrap(self.left, (Or, Implies, Exists, Forall))} & {_wrap(self.right, (And, Or, Implies, Exists, Forall))}"
 
 
 @dataclass(frozen=True)
-class Or:
+class Or(_Binary):
     left: object
     right: object
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"{_wrap(self.left, (Implies, Exists, Forall))} | {_wrap(self.right, (Or, Implies, Exists, Forall))}"
 
 
 @dataclass(frozen=True)
-class Implies:
+class Implies(_Binary):
     left: object
     right: object
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"{_wrap(self.left, (Implies, Exists, Forall))} -> {self.right}"
 
 
 @dataclass(frozen=True)
-class Exists:
+class Exists(_Quantifier):
     var: str
     sort: str
     body: object
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"exists {self.var}:{self.sort}. {self.body}"
 
 
 @dataclass(frozen=True)
-class Forall:
+class Forall(_Quantifier):
     var: str
     sort: str
     body: object
+    __hash__ = _Node.__hash__
 
     def __str__(self) -> str:
         return f"forall {self.var}:{self.sort}. {self.body}"
@@ -266,27 +336,6 @@ def parse_formula(text: str):
     return node
 
 
-def term_names(term) -> frozenset:
-    if isinstance(term, Lit):
-        return frozenset()
-    if isinstance(term, Name):
-        return frozenset({term.ident})
-    if isinstance(term, Sum):
-        return term_names(term.left) | term_names(term.right)
-    raise TypeError(f"not a term: {term!r}")
-
-
 def free_names(formula) -> frozenset:
     """Identifiers not bound by any quantifier (variables or constants)."""
-    if isinstance(formula, Falsum):
-        return frozenset()
-    if isinstance(formula, Atom):
-        out = frozenset()
-        for arg in formula.args:
-            out |= term_names(arg)
-        return out
-    if isinstance(formula, (And, Or, Implies)):
-        return free_names(formula.left) | free_names(formula.right)
-    if isinstance(formula, (Exists, Forall)):
-        return free_names(formula.body) - {formula.var}
-    raise TypeError(f"not a formula: {formula!r}")
+    return frozenset(formula.free)

@@ -103,7 +103,12 @@ class Basis:
                 if not extra <= below[b]:
                     below[b] |= extra
                     changed = True
-        return Basis(below, lambda x, y: x in below[y])
+        # the closure is already every element's down-set: freeze it once
+        # and let the basis and its relation share that one copy
+        down_sets = {b: frozenset(s) for b, s in below.items()}
+        basis = Basis(down_sets, lambda x, y: x in down_sets[y])
+        basis._below = down_sets
+        return basis
 
     @property
     def elements(self) -> tuple:
@@ -124,8 +129,8 @@ class Basis:
         got = self._below.get(a)
         if got is None:
             self.require(a)
-            self._down[a] = tuple(v for v in self._elements if self._relation(v, a))
-            got = self._below[a] = frozenset(self._down[a])
+            got = self._below[a] = frozenset(
+                v for v in self._elements if self._relation(v, a))
         return got
 
     def leq(self, a: Element, b: Element) -> bool:
@@ -135,8 +140,8 @@ class Basis:
         """The down-set of ``a`` in canonical order."""
         got = self._down.get(a)
         if got is None:
-            self.below(a)
-            got = self._down[a]
+            below = self.below(a)
+            got = self._down[a] = tuple(v for v in self._elements if v in below)
         return got
 
     def disjoint(self, a: Element, b: Element) -> bool:

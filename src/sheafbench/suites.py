@@ -544,6 +544,12 @@ CHECK_SUITES = {
     "sheaves": lambda seed, samples: sheaf_suite(),
     "brouwer": lambda seed, samples: brouwer_suite(),
     "alt-baire": lambda seed, samples: _alt_baire_only(),
+    "fan": lambda seed, samples: fan_suite(seed=seed, samples=samples),
+    "bar": lambda seed, samples: bar_suite(seed=seed, samples=samples),
+    "continuity": lambda seed, samples: continuity_suite(seed=seed),
+    "cc": lambda seed, samples: cc_suite(seed=seed, samples=samples),
+    "compactness": lambda seed, samples: compactness_suite(),
+    "setcompact": lambda seed, samples: setcompact_suite(seed=seed, samples=samples),
 }
 
 

@@ -150,6 +150,24 @@ def test_check_suite_runs_and_reports(tmp_path, capsys):
     assert verdict["checked"] > 0
 
 
+@pytest.mark.parametrize("suite, sizes", [
+    ("fan", ["--samples", "5"]),
+    ("bar", ["--samples", "3"]),
+    ("continuity", []),
+    ("cc", ["--samples", "5"]),
+    ("compactness", []),
+    ("setcompact", ["--samples", "20"]),
+])
+def test_check_reaches_the_rule_and_compactness_suites(suite, sizes, tmp_path, capsys):
+    out = tmp_path / "report.json"
+    assert main(["check", suite, "--seed", "1", *sizes, "--out", str(out)]) == 0
+    captured = capsys.readouterr()
+    assert "PASS" in captured.out
+    assert "Traceback" not in captured.out + captured.err
+    verdict = json.loads(out.read_text())["verdicts"][0]
+    assert verdict["passed"] is True and verdict["checked"] > 0
+
+
 def test_unreadable_inputs_exit_2(tmp_path, capsys):
     assert main(["fan", "--bar", str(tmp_path / "missing.json")]) == 2
     assert "InputError" in capsys.readouterr().out

@@ -2,6 +2,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheafbench.double import build_double
 from sheafbench.forcing import (
@@ -197,6 +198,30 @@ def test_random_formulas_are_closed_and_reparseable():
         phi = random_formula(rng, rng.randint(0, 4))
         assert free_names(phi) <= {"pi"}
         assert parse_formula(str(phi)) == phi
+
+
+def _depth3_double_model():
+    """Depth-3 Cantor double over the points with prefix at most 1 (19 basic
+    opens), with the level-2 bar behind ``InBar``."""
+    inner = cantor_space(3)
+    dbl = build_double(inner, eventually_constant_points(2, 1))
+    bar = bar_from_generators(inner, [u for u in inner.basis.elements if len(u) == 2])
+    return dbl, standard_model(dbl, bar=bar, n_max=8)
+
+
+_DEPTH3 = _depth3_double_model()
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_singleton_forcing_is_truth_and_formulas_round_trip(seed):
+    dbl, model = _DEPTH3
+    rng = random.Random(seed)
+    phi = random_formula(rng, rng.randint(0, 3))
+    again = parse_formula(str(phi))
+    assert again == phi and hash(again) == hash(phi) and again.free == phi.free
+    for q in dbl.points:
+        assert force(model, dbl.singleton(q), phi) == classical_truth(model, q, phi), phi
 
 
 def test_fuel_exhaustion_is_distinguished():

@@ -1,5 +1,9 @@
+from dataclasses import fields
+
 import pytest
 
+from sheafbench.double import DOpen, SingletonOpen
+from sheafbench.forcing import generic_value, pure_value, table_value
 from sheafbench.formulas import (
     And,
     Atom,
@@ -15,6 +19,7 @@ from sheafbench.formulas import (
     free_names,
     parse_formula,
 )
+from sheafbench.points import Point
 
 
 def test_parse_atoms_and_terms():
@@ -78,6 +83,49 @@ def test_round_trip_through_str():
 def test_free_names_sees_constants_but_not_bound_vars():
     node = parse_formula("forall n:Nat. Eq(n, k) & Rel(pi, n)")
     assert free_names(node) == frozenset({"k", "pi"})
+
+
+def _chain(depth: int):
+    """An ``And`` chain built bottom-up under one quantifier."""
+    node = Atom("Eq", (Name("x0"), Lit(0)))
+    for i in range(1, depth):
+        node = And(Atom("Leq", (Sum(Name(f"x{i % 7}"), Lit(1)), Lit(i))), node)
+    return Exists("x3", "Nat", node)
+
+
+def test_deep_chains_hash_and_know_their_free_names():
+    first, second = _chain(1500), _chain(1500)
+    assert hash(first) == hash(second)
+    assert first.free == ("x0", "x1", "x2", "x4", "x5", "x6")
+    assert first.body.free == tuple(f"x{i}" for i in range(7))
+    assert free_names(first) == frozenset(first.free)
+
+
+_POINT = Point((0,), 1)
+_SAMPLES = [
+    Lit(3), Name("n"), Sum(Name("n"), Lit(1)), Falsum(),
+    Atom("Eq", (Name("n"), Lit(2))), Atom("Flag", ()),
+    And(Falsum(), Atom("A", ())), Or(Falsum(), Atom("A", ())),
+    Implies(Falsum(), Atom("A", ())),
+    Exists("n", "Nat", Atom("Eq", (Name("n"), Name("k")))),
+    Forall("u", "FinSeq", Atom("InBar", (Name("u"),))),
+    pure_value(_POINT, 2), generic_value(2),
+    table_value({_POINT: Point((), 0)}, 2, label="t"),
+    DOpen((0, 1)), SingletonOpen(_POINT),
+]
+
+
+@pytest.mark.parametrize("node", _SAMPLES, ids=lambda x: type(x).__name__)
+def test_hash_is_stored_once_and_equals_the_field_tuple_hash(node):
+    expected = hash(tuple(getattr(node, f.name) for f in fields(node)))
+    assert node._hash == expected
+    assert type(node).__hash__(node) == expected
+    # the class serves the stored value rather than recomputing it
+    object.__setattr__(node, "_hash", expected + 1)
+    try:
+        assert hash(node) == expected + 1
+    finally:
+        object.__setattr__(node, "_hash", expected)
 
 
 def test_parse_errors_carry_positions():

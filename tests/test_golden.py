@@ -5,7 +5,9 @@ that changes any verdict, witness, transcript or rendering shows up here.
 Reports embed their input paths, so every run happens inside a temporary
 directory with relative paths.  ``check sheaves`` (about a minute) is left
 out.  The generator digests pin what each seeded generator draws, since
-the suites and the benchmark corpus are built from those draws.
+the suites and the benchmark corpus are built from those draws.  The
+forcing digest pins the step count of every forcing run, so the memo keys,
+and with them fuel, cannot move.
 """
 import hashlib
 import json
@@ -14,13 +16,16 @@ import random
 import pytest
 
 from sheafbench.cli import main
+from sheafbench.double import build_double
+from sheafbench.forcing import _Run, _force, standard_model
+from sheafbench.points import eventually_constant_points
 from sheafbench.randomgen import (
     random_covering_system,
     random_formula,
     random_monotone_bar,
     random_preorder,
 )
-from sheafbench.spaces import baire_space, cantor_space
+from sheafbench.spaces import baire_space, bar_from_generators, cantor_space
 
 FILES = {
     "double.json": {"kind": "double", "inner": {"kind": "cantor", "depth": 2}},
@@ -171,3 +176,23 @@ GENERATORS = {
 def test_seeded_generator_output_matches_its_golden_digest(name):
     draw, digest = GENERATORS[name]
     assert _sha("\n".join(draw()).encode()) == digest
+
+
+def test_forcing_step_counts_match_their_golden_digest():
+    """Verdict and ``_Run.steps`` of 200 seeded formulas at all 19 stages of
+    the depth-3 Cantor double over the points with prefix at most 1."""
+    inner = cantor_space(3)
+    double = build_double(inner, eventually_constant_points(2, 1))
+    bar = bar_from_generators(inner, [u for u in inner.basis.elements if len(u) == 2])
+    model = standard_model(double, bar=bar, n_max=8)
+    assert len(double.basis) == 19
+    rng = random.Random(17)
+    lines = []
+    for _ in range(200):
+        formula = random_formula(rng, rng.randint(1, 3), n_max=8)
+        for stage in double.basis.elements:
+            run = _Run(model, None)
+            verdict = _force(run, stage, formula, {})
+            lines.append(f"{formula}\t{stage!r}\t{verdict}\t{run.steps}")
+    assert _sha("\n".join(lines).encode()) == (
+        "eecaa98965ed83ea98f647d97934f4c504e6b74487311c9ee242409b2264b22d")

@@ -140,6 +140,15 @@ def test_equal_sieves_compare_equal_and_keep_their_given_generators():
     assert by_e1.generators == ("e1",)
 
 
+def test_from_pairs_keeps_one_copy_of_its_order():
+    basis = random_preorder(random.Random(5), 8)
+    (cell,) = basis._relation.__closure__
+    read = cell.cell_contents
+    for b in basis.elements:
+        assert basis.below(b) is read[b]
+        assert basis.down(b) == tuple(v for v in basis.elements if basis.leq(v, b))
+
+
 @given(_preorders(), st.data())
 def test_order_and_sieves_match_the_raw_relation(order, data):
     labels, leq = order
