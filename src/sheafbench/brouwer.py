@@ -371,6 +371,14 @@ def restrict_tree(space: FormalSpace, branch: int, tree: LabelledTree, q) -> Lab
     return labelled_tree(space, branch, q, pieces, flags, children)
 
 
+def _restricted(space: FormalSpace, branch: int, memo: dict, tree: LabelledTree, q) -> LabelledTree:
+    """``restrict_tree`` through a memo keyed by ``(tree, q)``."""
+    key = (tree, q)
+    if key not in memo:
+        memo[key] = restrict_tree(space, branch, tree, q)
+    return memo[key]
+
+
 def tree_equiv(space: FormalSpace, branch: int, v: LabelledTree, w: LabelledTree,
                _memo: dict | None = None, _rmemo: dict | None = None) -> bool:
     """Covering-based equality of labelled trees.
@@ -383,13 +391,6 @@ def tree_equiv(space: FormalSpace, branch: int, v: LabelledTree, w: LabelledTree
     """
     memo = {} if _memo is None else _memo
     rmemo = {} if _rmemo is None else _rmemo
-
-    def down(tree, q):
-        key = (tree, q)
-        if key not in rmemo:
-            rmemo[key] = restrict_tree(space, branch, tree, q)
-        return rmemo[key]
-
     key = (v, w)
     if key in memo:
         return memo[key]
@@ -406,7 +407,8 @@ def tree_equiv(space: FormalSpace, branch: int, v: LabelledTree, w: LabelledTree
         if v.flag(q1) == 1 and not all(
             tree_equiv(
                 space, branch,
-                down(v.child(q1, n), r), down(w.child(q2, n), r),
+                _restricted(space, branch, rmemo, v.child(q1, n), r),
+                _restricted(space, branch, rmemo, w.child(q2, n), r),
                 memo, rmemo,
             )
             for n in range(branch)
@@ -528,10 +530,7 @@ def bo_sheaf_checks(space: FormalSpace, branch: int, depth: int = 2) -> BOReport
         return tree_equiv(space, branch, v, w, memo, restrictions)
 
     def down(tree, q):
-        key = (tree, q)
-        if key not in restrictions:
-            restrictions[key] = restrict_tree(space, branch, tree, q)
-        return restrictions[key]
+        return _restricted(space, branch, restrictions, tree, q)
 
     presheaf_failures = []
     for p in elements:

@@ -2,9 +2,11 @@
 
 Basic opens come in two kinds: a copy D(u) of each inner basic open, and one
 extra minimal open {q} per chosen point.  {q} sits below D(v) exactly when q
-passes through v, covers of D(u) are inherited from the inner space (with the
-matching point opens added to each family), and each {q} is covered only by
-itself.  Three canonical maps connect the double with its ingredients.
+passes through v, so the down-set of D(u) is the copy of the inner down-set
+of u plus the opens of the points through u.  Covers of D(u) are inherited
+from the inner space (with the matching point opens added to each family),
+and each {q} is covered only by itself.  Three canonical maps connect the
+double with its ingredients.
 """
 from __future__ import annotations
 
@@ -112,16 +114,6 @@ class DoubleSpace(FormalSpace):
         return x
 
 
-def double_leq(x, y) -> bool:
-    if isinstance(x, DOpen) and isinstance(y, DOpen):
-        return x.seq[: len(y.seq)] == y.seq
-    if isinstance(x, SingletonOpen) and isinstance(y, DOpen):
-        return x.point.passes_through(y.seq)
-    if isinstance(x, SingletonOpen) and isinstance(y, SingletonOpen):
-        return x == y
-    return False
-
-
 def build_double(inner: TruncatedSpace, points: Iterable[Point]) -> DoubleSpace:
     pts = tuple(sorted(set(points), key=lambda p: p.sort_key))
     for p in pts:
@@ -131,25 +123,28 @@ def build_double(inner: TruncatedSpace, points: Iterable[Point]) -> DoubleSpace:
         verdict = is_point(inner, p)
         if not verdict.ok:
             raise ValueError(f"not a point of the inner space: {p}")
-    elements = tuple(DOpen(u) for u in inner.basis.elements) + tuple(
-        SingletonOpen(p) for p in pts
-    )
-    basis = Basis(elements, double_leq)
-    table = {}
-    if inner.system is not None:
-        for u in inner.basis.elements:
-            fams = []
-            for fam in inner.system.families_at(u):
-                extra = tuple(
-                    SingletonOpen(q)
-                    for q in pts
-                    if any(q.passes_through(v) for v in fam)
-                )
-                fams.append(tuple(DOpen(v) for v in fam) + extra)
-            if fams:
-                table[DOpen(u)] = tuple(fams)
+    dopen = {u: DOpen(u) for u in inner.basis.elements}
+    # the point opens below each D(u): those of the points passing through u
+    through: dict = {u: set() for u in dopen}
+    below, table = {}, {}
     for q in pts:
-        table[SingletonOpen(q)] = ((SingletonOpen(q),),)
+        single = SingletonOpen(q)
+        below[single] = (single,)
+        table[single] = ((single,),)
+        for u in point_members(inner, q):
+            through[u].add(single)
+    for u, x in dopen.items():
+        below[x] = through[u].union(map(dopen.__getitem__, inner.basis.below(u)))
+    basis = Basis(below)
+    if inner.system is not None:
+        for u, x in dopen.items():
+            fams = [
+                tuple(map(dopen.__getitem__, fam))
+                + tuple(set().union(*map(through.__getitem__, fam)))
+                for fam in inner.system.families_at(u)
+            ]
+            if fams:
+                table[x] = tuple(fams)
     system = CoveringSystem(basis, table)
     topology = DoubleTopology(basis, inner)
     return DoubleSpace(basis, topology, system, inner=inner, points=pts)

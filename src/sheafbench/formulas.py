@@ -334,8 +334,3 @@ def parse_formula(text: str):
     if kind != "end":
         raise ParseError(f"trailing input starting with {value!r}", pos)
     return node
-
-
-def free_names(formula) -> frozenset:
-    """Identifiers not bound by any quantifier (variables or constants)."""
-    return frozenset(formula.free)

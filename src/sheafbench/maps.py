@@ -203,7 +203,7 @@ def compose_maps(f: ContinuousMap, g: ContinuousMap) -> ContinuousMap:
 
 def discrete_space(labels: Iterable) -> FormalSpace:
     """Flat space: order is equality and a sieve covers iff it contains."""
-    basis = Basis(tuple(labels), lambda a, b: a == b)
+    basis = Basis({a: (a,) for a in labels})
     system = CoveringSystem(basis, {})
     return FormalSpace(basis, GeneratedTopology(system), system)
 

@@ -137,7 +137,8 @@ def pt_space(space: TruncatedSpace, points: Iterable[Point]) -> FormalSpace:
     """The spatial reflection: same elements, extent order, extent covers."""
     pts = tuple(points)
     extent = ext_map(space, pts)
-    basis = Basis(space.basis.elements, lambda a, b: extent[a] <= extent[b])
+    elements = space.basis.elements
+    basis = Basis({b: [a for a in elements if extent[a] <= extent[b]] for b in elements})
     return FormalSpace(basis, ExtentTopology(basis, extent))
 
 

@@ -454,7 +454,7 @@ def pure_density_check(presheaf: ConstantPresheaf, elements: Iterable | None = N
 def slice_space(space: FormalSpace, root) -> FormalSpace:
     """The part of the space below one open, with the induced covers."""
     elems = space.basis.down(root)
-    basis = Basis(elems, space.basis.leq)
+    basis = Basis({a: space.basis.below(a) for a in elems})
     system = None
     if space.system is not None:
         # CoveringSystem rejects any family member outside the slice

@@ -1,7 +1,7 @@
 """Finite preorders of basic opens, sieves, and inductively generated covers.
 
-Everything here is deliberately small: a basis is a finite, explicitly
-enumerated preorder held as the down-set of each element, a sieve is its
+Everything here is deliberately small: a basis is a finite preorder given
+by the down-set of each element and nothing else, a sieve is its
 member set (the union of its generators' down-sets), and cover questions are
 settled by saturating an inductive definition over the fragment below the
 root.  All values are immutable after construction, so they can be shared
@@ -68,21 +68,28 @@ def element_key(x: Element):
 
 
 class Basis:
-    """A finite preorder of basic opens, held as the down-set of each element.
+    """A finite preorder of basic opens, given as the down-set of each element.
 
-    ``leq(a, b)`` reads "a lies below b"; reflexivity and transitivity are
-    required.  The relation is called only to build an element's down-set,
-    once per element on first use; every order question after that
-    (``leq``, ``down``, ``up``, ``disjoint``) is a lookup in those sets.
+    ``below`` maps every element to the elements lying below it, so the
+    elements are its keys and "a lies below b" reads ``a in below[b]``.
+    Each down-set must name only elements and hold its own element; the
+    sets must also be transitive, which the constructors that build them
+    guarantee.  Every order question (``leq``, ``down``, ``up``,
+    ``disjoint``) is a lookup in these sets.
     """
 
-    def __init__(self, elements: Iterable[Element], leq: Callable[[Element, Element], bool]):
-        self._elements = tuple(sorted(set(elements), key=element_key))
-        self._index = frozenset(self._elements)
-        self._relation = leq
-        self._below: dict[Element, frozenset] = {}
+    def __init__(self, below: Mapping[Element, Iterable[Element]]):
+        self._below = {a: frozenset(s) for a, s in below.items()}
+        self._elements = tuple(sorted(self._below, key=element_key))
         self._down: dict[Element, tuple] = {}
         self._up: dict[Element, tuple] = {}
+        elements = self._below.keys()
+        for a in self._elements:
+            s = self._below[a]
+            if a not in s:
+                raise ValueError(f"the down-set of {a!r} leaves out {a!r}")
+            if not s <= elements:
+                raise UnknownElement(min(s - elements, key=element_key))
 
     @staticmethod
     def from_pairs(elements: Iterable[Element], pairs: Iterable[tuple]) -> "Basis":
@@ -103,35 +110,28 @@ class Basis:
                 if not extra <= below[b]:
                     below[b] |= extra
                     changed = True
-        # the closure is already every element's down-set: freeze it once
-        # and let the basis and its relation share that one copy
-        down_sets = {b: frozenset(s) for b, s in below.items()}
-        basis = Basis(down_sets, lambda x, y: x in down_sets[y])
-        basis._below = down_sets
-        return basis
+        return Basis(below)
 
     @property
     def elements(self) -> tuple:
         return self._elements
 
     def __contains__(self, x: Element) -> bool:
-        return x in self._index
+        return x in self._below
 
     def __len__(self) -> int:
         return len(self._elements)
 
     def require(self, x: Element) -> None:
-        if x not in self._index:
+        if x not in self._below:
             raise UnknownElement(x)
 
     def below(self, a: Element) -> frozenset:
         """The down-set of ``a``: every enumerated element below it."""
-        got = self._below.get(a)
-        if got is None:
-            self.require(a)
-            got = self._below[a] = frozenset(
-                v for v in self._elements if self._relation(v, a))
-        return got
+        try:
+            return self._below[a]
+        except KeyError:
+            raise UnknownElement(a) from None
 
     def leq(self, a: Element, b: Element) -> bool:
         return a in self.below(b)
@@ -178,9 +178,9 @@ class Sieve:
     def from_generators(basis: Basis, root: Element, gens: Iterable[Element]) -> "Sieve":
         """The sieve on ``root`` generated by those of ``gens`` below it."""
         given = frozenset(gens)
-        unknown = given - basis._index
-        if unknown:
-            raise UnknownElement(min(unknown, key=element_key))
+        # a subset test against the keys reads only the generators
+        if not given <= basis._below.keys():
+            raise UnknownElement(min(given - basis._below.keys(), key=element_key))
         given &= basis.below(root)
         return Sieve(basis, root, frozenset().union(*map(basis.below, given)), given)
 

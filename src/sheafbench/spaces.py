@@ -57,6 +57,19 @@ def all_sequences(branch: int, depth: int) -> tuple:
     return tuple(u for q in range(depth + 1) for u in bracket(branch, (), q))
 
 
+def tree_basis(branch: int, depth: int) -> Basis:
+    """Sequences of length at most ``depth``, each below its initial segments.
+
+    Down-sets are built bottom-up: a sequence's down-set is itself together
+    with the down-sets of its children.
+    """
+    below: dict = {}
+    for u in reversed(all_sequences(branch, depth)):
+        children = [below[u + (i,)] for i in range(branch)] if len(u) < depth else ()
+        below[u] = frozenset((u,)).union(*children)
+    return Basis(below)
+
+
 def u_bracket(space: "TruncatedSpace", u: Seq, q: int) -> tuple:
     """All length-q extensions of ``u``; q must lie within the truncation."""
     space.basis.require(u)
@@ -131,7 +144,7 @@ def _bracket_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:
 
 def cantor_space(depth: int) -> TruncatedSpace:
     """Truncated binary space with the direct bracket cover test."""
-    basis = Basis(all_sequences(2, depth), seq_leq)
+    basis = tree_basis(2, depth)
     system = _bracket_system(basis, 2, depth)
     system.validate()
     return TruncatedSpace(
@@ -148,7 +161,7 @@ def baire_space(branch: int, depth: int) -> TruncatedSpace:
     """Truncated ``branch``-ary space with the generated child-family covers."""
     if branch < 1:
         raise ValueError("branch must be at least 1")
-    basis = Basis(all_sequences(branch, depth), seq_leq)
+    basis = tree_basis(branch, depth)
     system = _child_system(basis, branch, depth)
     topology = generate_topology(system)
     return TruncatedSpace(
@@ -219,15 +232,9 @@ def bar_from_generators(
     inductive: bool = False,
 ) -> Bar:
     """Bar whose predicate is "lies below some generator"."""
-    gens = tuple(sorted({tuple(g) for g in generators}))
-    for g in gens:
-        space.basis.require(g)
-    return Bar(
-        space,
-        lambda u, _g=gens: any(seq_leq(u, g) for g in _g),
-        monotone=monotone,
-        inductive=inductive,
-    )
+    gens = {tuple(g) for g in generators}
+    members = Sieve.from_generators(space.basis, (), gens).members
+    return Bar(space, members.__contains__, monotone=monotone, inductive=inductive)
 
 
 def bar_to_sieve(bar: Bar, root: Seq = ()) -> Sieve:

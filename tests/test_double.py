@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheafbench.double import (
     DOpen,
@@ -6,14 +7,25 @@ from sheafbench.double import (
     anchored_point_members,
     build_double,
     canonical_maps,
-    double_leq,
     enumerate_double_points,
     lifted_point_members,
 )
+from sheafbench.jsonio import space_from_json
 from sheafbench.maps import check_continuous_map, identity_map, pt_functor
 from sheafbench.points import Point, eventually_constant_points, is_point, point_members
 from sheafbench.site import Sieve, check_topology_axioms
-from sheafbench.spaces import cantor_space
+from sheafbench.spaces import baire_space, cantor_space
+
+
+def double_leq(x, y) -> bool:
+    """Oracle: the order of the double, stated as a relation on its opens."""
+    if isinstance(x, DOpen) and isinstance(y, DOpen):
+        return x.seq[: len(y.seq)] == y.seq
+    if isinstance(x, SingletonOpen) and isinstance(y, DOpen):
+        return x.point.passes_through(y.seq)
+    if isinstance(x, SingletonOpen) and isinstance(y, SingletonOpen):
+        return x == y
+    return False
 
 
 def _standard_double(depth=2, max_prefix=1):
@@ -39,6 +51,42 @@ def test_double_order():
     assert not double_leq(dbl.d((0,)), dbl.singleton(q))
     # point opens are minimal
     assert dbl.basis.down(dbl.singleton(q)) == (dbl.singleton(q),)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([2, 3]),
+    st.integers(0, 3),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.lists(st.integers(0, 1), max_size=5), st.integers(0, 1)), max_size=3),
+)
+def test_double_down_sets_match_the_relation(branch, depth, max_prefix, deep):
+    inner = cantor_space(depth) if branch == 2 else baire_space(3, min(depth, 2))
+    points = set(eventually_constant_points(branch, max_prefix))
+    points |= {Point(tuple(prefix), tail) for prefix, tail in deep}
+    points.add(Point((0, 1, 0), 1))
+    dbl = build_double(inner, points)
+    opens = dbl.basis.elements
+    assert len(opens) == len(inner.basis) + len(points)
+    for y in opens:
+        assert dbl.basis.below(y) == {x for x in opens if double_leq(x, y)}
+
+
+def test_building_a_double_asks_no_point_for_its_prefixes(monkeypatch):
+    calls = []
+    passes_through = Point.passes_through
+
+    def counted(point, u):
+        calls.append((point, u))
+        return passes_through(point, u)
+
+    monkeypatch.setattr(Point, "passes_through", counted)
+    dbl = build_double(cantor_space(5), eventually_constant_points(2, 3))
+    assert len(dbl.points) == 16
+    loaded = space_from_json({"kind": "double", "inner": {"kind": "cantor", "depth": 5},
+                              "max_prefix": 3})
+    assert loaded.basis.elements == dbl.basis.elements
+    assert calls == []
 
 
 def test_rejects_streams_outside_the_branching():

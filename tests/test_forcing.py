@@ -27,7 +27,7 @@ from sheafbench.forcing import (
     table_value,
     with_universe_value,
 )
-from sheafbench.formulas import Lit, Name, Sum, free_names, parse_formula
+from sheafbench.formulas import Lit, Name, Sum, parse_formula
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_formula
 from sheafbench.sheaves import NatSection, nat_sheaf
@@ -196,7 +196,7 @@ def test_random_formulas_are_closed_and_reparseable():
     rng = random.Random(3)
     for _ in range(60):
         phi = random_formula(rng, rng.randint(0, 4))
-        assert free_names(phi) <= {"pi"}
+        assert set(phi.free) <= {"pi"}
         assert parse_formula(str(phi)) == phi
 
 
@@ -266,9 +266,8 @@ def test_cc_refine_on_doubles_lifts_inner_refinement():
 
 
 def test_cc_refine_generic_search_and_no_refinement():
-    labels = ["top", "a", "b", "c"]
     below = {"top": {"top", "a", "b", "c"}, "a": {"a", "c"}, "b": {"b", "c"}, "c": {"c"}}
-    basis = Basis(labels, lambda x, y: x in below[y])
+    basis = Basis(below)
     trivial = {"a": (("a",),), "b": (("b",),), "c": (("c",),)}
     system = CoveringSystem(basis, {"top": (("a", "b"),), **trivial})
     from sheafbench.site import FormalSpace
@@ -279,7 +278,7 @@ def test_cc_refine_generic_search_and_no_refinement():
         cc_refine(space, "top", sieve)
 
     disjoint = {"top": {"top"}, "a": {"a"}, "b": {"b"}, "c": {"c", "a", "b"}}
-    basis2 = Basis(labels, lambda x, y: x in disjoint[y])
+    basis2 = Basis(disjoint)
     system2 = CoveringSystem(basis2, {"c": (("a", "b"),), "a": (("a",),), "b": (("b",),)})
     space2 = FormalSpace(basis2, generate_topology(system2), system2)
     sieve2 = Sieve.from_generators(basis2, "c", ["a", "b"])

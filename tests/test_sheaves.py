@@ -253,7 +253,7 @@ def test_pure_density_contract_rejects_stream_sheaves():
 
 
 def test_empty_cover_rejected_by_sheaf_factories():
-    basis = Basis(["x"], lambda a, b: a == b)
+    basis = Basis({"x": ("x",)})
     system = CoveringSystem(basis, {"x": ((),)})
     space = FormalSpace(basis, generate_topology(system), system)
     with pytest.raises(EmptyCoverPresent):

@@ -30,6 +30,8 @@ from sheafbench.site import (
 )
 from sheafbench.spaces import all_sequences, baire_space, cantor_space, seq_leq
 
+from order_oracle import basis_from_relation
+
 
 def _brute_members(leq, elements, root, gens):
     """Oracle: downward closure of the generators below the root, read off the raw relation."""
@@ -141,18 +143,48 @@ def test_equal_sieves_compare_equal_and_keep_their_given_generators():
 
 
 def test_from_pairs_keeps_one_copy_of_its_order():
-    basis = random_preorder(random.Random(5), 8)
-    (cell,) = basis._relation.__closure__
-    read = cell.cell_contents
-    for b in basis.elements:
-        assert basis.below(b) is read[b]
+    rng = random.Random(5)
+    labels = [f"e{i}" for i in range(8)]
+    pairs = [(a, b) for a in labels for b in labels if a != b and rng.random() < 0.2]
+    basis = Basis.from_pairs(labels, pairs)
+    # oracle: a path of pairs leads from a up to b
+    for b in labels:
+        reach, frontier = {b}, [b]
+        while frontier:
+            top = frontier.pop()
+            for x, y in pairs:
+                if y == top and x not in reach:
+                    reach.add(x)
+                    frontier.append(x)
+        assert basis.below(b) == reach
         assert basis.down(b) == tuple(v for v in basis.elements if basis.leq(v, b))
+    # the down-sets are the only copy: no relation is kept beside them
+    assert not any(callable(value) for value in vars(basis).values())
+
+
+def test_a_basis_keeps_the_down_sets_it_is_given():
+    below = {u: frozenset(v for v in all_sequences(2, 3) if seq_leq(v, u))
+             for u in all_sequences(2, 3)}
+    basis = Basis(below)
+    assert basis.elements == tuple(sorted(below, key=element_key))
+    for u, got in below.items():
+        assert basis.below(u) is got
+
+
+def test_basis_rejects_down_sets_outside_its_elements():
+    with pytest.raises(UnknownElement) as exc:
+        Basis({"a": {"a", "b"}, "c": {"c", "z", "y"}})
+    assert exc.value.args == ("b",)
+    with pytest.raises(ValueError, match="leaves out"):
+        Basis({"a": {"a"}, "b": {"a"}})
+    with pytest.raises(UnknownElement):
+        Basis({"a": {"a"}}).below("b")
 
 
 @given(_preorders(), st.data())
 def test_order_and_sieves_match_the_raw_relation(order, data):
     labels, leq = order
-    basis = Basis(labels, leq)
+    basis = basis_from_relation(labels, leq)
     root = data.draw(st.sampled_from(labels))
     gens = data.draw(st.lists(st.sampled_from(labels), max_size=5))
     b = data.draw(st.sampled_from(labels))
@@ -296,7 +328,7 @@ def test_membership_restricts_to_the_fragment_below():
 
 
 def test_covering_axiom_violation_is_reported():
-    basis = Basis(["a", "b", "q"], lambda x, y: x == y or y == "a")
+    basis = basis_from_relation(["a", "b", "q"], lambda x, y: x == y or y == "a")
     system = CoveringSystem(basis, {"a": [("b",)]})
     with pytest.raises(CoveringAxiomViolation) as exc:
         generate_topology(system)
@@ -359,22 +391,18 @@ def test_axioms_hold_on_truncated_tree_systems():
         assert report.ok, report
 
 
-def test_the_relation_is_read_at_most_once_per_ordered_pair():
-    calls = []
-
-    def counted(u, v):
-        calls.append((u, v))
-        return seq_leq(u, v)
-
+def test_axioms_hold_on_a_tree_basis_read_off_the_relation():
+    # the same child families over the relation oracle and over the derived
+    # tree down-sets give the same verdicts
     elements = all_sequences(2, 4)
-    basis = Basis(elements, counted)
-    system = CoveringSystem(
-        basis, {u: [(u + (0,), u + (1,))] if len(u) < 4 else [(u,)] for u in elements}
-    )
-    report = check_topology_axioms(FormalSpace(basis, generate_topology(system), system))
-    assert report.ok
-    assert len(elements) == 31
-    assert len(calls) <= len(elements) ** 2
+    reports = []
+    for basis in (basis_from_relation(elements, seq_leq), cantor_space(4).basis):
+        system = CoveringSystem(
+            basis, {u: [(u + (0,), u + (1,))] if len(u) < 4 else [(u,)] for u in elements}
+        )
+        reports.append(check_topology_axioms(FormalSpace(basis, generate_topology(system), system)))
+    assert reports[0].ok
+    assert reports[0] == reports[1]
 
 
 def test_sieve_sampler_is_deterministic():

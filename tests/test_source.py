@@ -118,3 +118,50 @@ def test_every_package_name_and_keyword_the_benchmark_uses_exists():
             except TypeError as err:
                 problems.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}: {err}")
     assert problems == []
+
+
+# public names kept for the tests to check the paper's constructions against,
+# though nothing in the package or the benchmark calls them
+TEST_REFERENCES = {
+    "identity_map": "the unit law of map composition in the map tests",
+    "compose_maps": "the composites of the double's canonical maps",
+    "point_as_map": "a point read as a map from the one-point space",
+    "pt_functor": "the action of maps on points, checked on the canonical maps",
+    "canonical_maps": "the three maps joining a double with its ingredients",
+    "pt_space": "the spatial reflection of a tree space over a point family",
+    "enough_points_check": "formal covers against spatial covers over a point family",
+    "sup": "the node constructor of Brouwer trees, used to build the trees k_map reads",
+}
+
+
+def _uses(path: pathlib.Path) -> list:
+    """``(name, top-level definition it sits in or None)`` for every name read."""
+    found = []
+    for stmt in _tree(path).body:
+        owner = stmt.name if isinstance(
+            stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Name):
+                found.append((node.id, owner))
+            elif isinstance(node, ast.Attribute):
+                found.append((node.attr, owner))
+    return found
+
+
+def test_every_public_name_has_a_caller_outside_the_tests():
+    defined = {
+        (path, stmt.name)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in _tree(path).body
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not stmt.name.startswith("_")
+    }
+    uses = {path: _uses(path) for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))}
+    uncalled = sorted(
+        name for home, name in defined
+        if not any(
+            used == name and not (path == home and owner == name)
+            for path, found in uses.items() for used, owner in found
+        )
+    )
+    assert uncalled == sorted(TEST_REFERENCES)

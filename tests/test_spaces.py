@@ -5,7 +5,9 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
+from sheafbench import randomgen
 from sheafbench.randomgen import random_monotone_bar
 from sheafbench.site import NotACover, Sieve, generate_topology
 from sheafbench.spaces import (
@@ -13,11 +15,14 @@ from sheafbench.spaces import (
     DepthExceeded,
     NotInductive,
     NotMonotone,
+    all_sequences,
     bar_from_generators,
     bar_to_sieve,
     baire_space,
     cantor_space,
     kfinite_subcover,
+    seq_leq,
+    tree_basis,
     u_bracket,
 )
 
@@ -150,6 +155,34 @@ def test_bar_from_generators_is_downclosed_membership():
     bar = bar_from_generators(space, [(0, 1), (1,)])
     assert bar.holds((0, 1, 1)) and bar.holds((1, 0))
     assert not bar.holds(()) and not bar.holds((0,))
+
+
+@given(st.integers(1, 3), st.integers(0, 4))
+def test_tree_down_sets_match_the_prefix_order(branch, depth):
+    basis = tree_basis(branch, depth)
+    elements = all_sequences(branch, depth)
+    assert set(basis.elements) == set(elements)
+    for v in elements:
+        assert basis.below(v) == {u for u in elements if seq_leq(u, v)}
+
+
+def test_generator_bars_agree_with_the_prefix_scan(monkeypatch):
+    drawn = []
+    build = randomgen.bar_from_generators
+
+    def recorded(space, gens, **flags):
+        drawn.append(tuple(gens))
+        return build(space, gens, **flags)
+
+    monkeypatch.setattr(randomgen, "bar_from_generators", recorded)
+    rng = random.Random(47)
+    spaces = [cantor_space(d) for d in range(1, 6)] + [baire_space(3, d) for d in range(1, 4)]
+    for space in spaces:
+        for _ in range(4):
+            bar = random_monotone_bar(rng, space)
+            gens = drawn[-1]
+            for u in space.basis.elements:
+                assert bar.holds(u) == any(seq_leq(u, g) for g in gens)
 
 
 def test_random_covering_bars_cover_the_root():
