@@ -2,11 +2,12 @@
 
 Basic opens come in two kinds: a copy D(u) of each inner basic open, and one
 extra minimal open {q} per chosen point.  {q} sits below D(v) exactly when q
-passes through v, so the down-set of D(u) is the copy of the inner down-set
-of u plus the opens of the points through u.  Covers of D(u) are inherited
-from the inner space (with the matching point opens added to each family),
-and each {q} is covered only by itself.  Three canonical maps connect the
-double with its ingredients.
+passes through v, which the point index (:func:`points.incidence`, read off
+each point's prefix chain) answers, so the down-set of D(u) is the copy of
+the inner down-set of u plus the opens of the points the index lists at u.
+Covers of D(u) are inherited from the inner space (with the matching point
+opens added to each family), and each {q} is covered only by itself.  Three
+canonical maps connect the double with its ingredients.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .site import (
     Sieve,
     Topology,
 )
-from .points import Point, is_point, point_members
+from .points import Point, incidence, is_point, point_members
 from .maps import ContinuousMap, discrete_space
 from .spaces import TruncatedSpace
 
@@ -83,17 +84,16 @@ class DoubleTopology(Topology):
         dpart = (v.seq for v in sieve.members if isinstance(v, DOpen))
         return Sieve.from_generators(self.inner.basis, x.seq, dpart)
 
-    def cover(self, x, sieve: Sieve, fuel: int | None = None) -> CoverResult:
+    def cover(self, x, sieve: Sieve) -> CoverResult:
         self.basis.require(x)
         if isinstance(x, SingletonOpen):
             hit = sieve.contains(x)
             return CoverResult(hit, depth=0 if hit else None,
                                frontier=() if hit else (x,))
-        res = self.inner.topology.cover(x.seq, self.inner_sieve(x, sieve), fuel=fuel)
+        res = self.inner.topology.cover(x.seq, self.inner_sieve(x, sieve))
         return CoverResult(
             res.covered,
             depth=res.depth,
-            exhausted=res.exhausted,
             frontier=tuple(DOpen(v) for v in res.frontier),
         )
 
@@ -125,14 +125,13 @@ def build_double(inner: TruncatedSpace, points: Iterable[Point]) -> DoubleSpace:
             raise ValueError(f"not a point of the inner space: {p}")
     dopen = {u: DOpen(u) for u in inner.basis.elements}
     # the point opens below each D(u): those of the points passing through u
-    through: dict = {u: set() for u in dopen}
+    index = incidence(inner, pts)
+    through = {u: set(map(SingletonOpen, index.get(u, ()))) for u in dopen}
     below, table = {}, {}
     for q in pts:
         single = SingletonOpen(q)
         below[single] = (single,)
         table[single] = ((single,),)
-        for u in point_members(inner, q):
-            through[u].add(single)
     for u, x in dopen.items():
         below[x] = through[u].union(map(dopen.__getitem__, inner.basis.below(u)))
     basis = Basis(below)
@@ -148,33 +147,6 @@ def build_double(inner: TruncatedSpace, points: Iterable[Point]) -> DoubleSpace:
     system = CoveringSystem(basis, table)
     topology = DoubleTopology(basis, inner)
     return DoubleSpace(basis, topology, system, inner=inner, points=pts)
-
-
-def anchored_point_members(double: DoubleSpace, q: Point) -> frozenset:
-    """Member set of the point of the double rooted at {q}."""
-    if q not in double.points:
-        raise ValueError(f"{q} is not one of the double's chosen points")
-    return frozenset({double.singleton(q)}) | lifted_point_members(double, q)
-
-
-def lifted_point_members(double: DoubleSpace, q: Point) -> frozenset:
-    """Member set of the image of an inner point under the D-embedding."""
-    return frozenset(DOpen(u) for u in point_members(double.inner, q))
-
-
-def enumerate_double_points(double: DoubleSpace, extra_points: Iterable[Point] = ()) -> tuple:
-    """All anchored and lifted points of the double, as (kind, point, members).
-
-    Lifted points range over the chosen points plus any extras supplied;
-    anchored points exist only for the chosen ones.
-    """
-    out = []
-    for q in double.points:
-        out.append(("anchored", q, anchored_point_members(double, q)))
-    lifted = set(double.points) | set(extra_points)
-    for q in sorted(lifted, key=lambda p: p.sort_key):
-        out.append(("lifted", q, lifted_point_members(double, q)))
-    return tuple(out)
 
 
 @dataclass(frozen=True)

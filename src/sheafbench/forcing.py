@@ -14,7 +14,11 @@ a function table on enumerated points.
 Every section value is read through its member set at a stage: the basic
 opens of the target tree that the map is known to land in.  Atoms look only
 at member sets, which keeps them monotone under restriction and local for
-covers, the two properties the connective clauses rely on.
+covers, the two properties the connective clauses rely on.  A stream is
+seen through its prefix chain in the target tree, so a pure value's members
+and the generic value's at a stage are closed-form chains; a table value's
+are the chains of its images along the points through the stage, which the
+model reads from one point index (:func:`points.incidence`) built with it.
 """
 from __future__ import annotations
 
@@ -23,9 +27,9 @@ from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 from .site import FormalSpace, NotACover, Sieve, element_key
-from .spaces import Bar, TruncatedSpace, all_sequences, seq_leq
-from .points import Point, eventually_constant_points, point_members
-from .double import DOpen, DoubleSpace, SingletonOpen, enumerate_double_points
+from .spaces import Bar, TruncatedSpace, all_sequences
+from .points import Point, eventually_constant_points, incidence, prefix_chain
+from .double import DOpen, DoubleSpace, SingletonOpen
 from .sheaves import ConstantPresheaf, NatSection, make_section, value_at
 from . import formulas as F
 
@@ -106,11 +110,9 @@ class ForcingModel:
     constants: Mapping  # name -> (sort, value)
     bar: Bar | None = None
     rel_table: Mapping | None = None  # Point -> Point
-    point_family: tuple = ()          # (kind, Point, member frozenset)
+    through: Mapping = field(default_factory=dict)  # stage -> points through it
     depth: int = 0
-    _targets: dict = field(default_factory=dict, compare=False, repr=False)
     _members: dict = field(default_factory=dict, compare=False, repr=False)
-    _through: dict = field(default_factory=dict, compare=False, repr=False)
 
     def universe(self, sort: str) -> tuple:
         got = self.universes.get(sort)
@@ -118,21 +120,8 @@ class ForcingModel:
             raise ModelError(f"no universe for sort {sort!r}")
         return got
 
-    def targets(self, branch: int) -> frozenset:
-        got = self._targets.get(branch)
-        if got is None:
-            got = frozenset(all_sequences(branch, self.depth))
-            self._targets[branch] = got
-        return got
-
     def points_through(self, stage) -> tuple:
-        got = self._through.get(stage)
-        if got is None:
-            got = tuple(dict.fromkeys(
-                q for kind, q, members in self.point_family if stage in members
-            ))
-            self._through[stage] = got
-        return got
+        return self.through.get(stage, ())
 
 
 def point_observation(model: ForcingModel, point: Point, branch: int) -> frozenset:
@@ -140,7 +129,7 @@ def point_observation(model: ForcingModel, point: Point, branch: int) -> frozens
     key = ("obs", point, branch)
     got = model._members.get(key)
     if got is None:
-        got = frozenset(w for w in model.targets(branch) if point.passes_through(w))
+        got = frozenset(prefix_chain(point.prefix_of(model.depth), branch))
         model._members[key] = got
     return got
 
@@ -174,11 +163,13 @@ def section_members(model: ForcingModel, value: SectionValue, stage) -> frozense
             got = point_observation(model, stage.point, value.branch)
         else:
             seq = stage.seq if isinstance(stage, DOpen) else stage
-            got = frozenset(w for w in model.targets(value.branch) if seq_leq(seq, w))
+            got = frozenset(prefix_chain(seq, value.branch))
     else:
-        got = model.targets(value.branch)
-        for q in model.points_through(stage):
-            got &= point_observation(model, _table_image(value, q), value.branch)
+        seen = [point_observation(model, _table_image(value, q), value.branch)
+                for q in model.points_through(stage)]
+        # no point through the stage constrains the map: the whole tree
+        got = (frozenset.intersection(*seen) if seen
+               else frozenset(all_sequences(value.branch, model.depth)))
     model._members[key] = got
     return got
 
@@ -457,18 +448,19 @@ def standard_model(
     constants = {GENERIC_NAME: (seq_sort, generic_value(branch))}
 
     if isinstance(space, DoubleSpace):
-        family = enumerate_double_points(space, extra_points=streamsN)
+        # the chosen points first, then the other streams in sort order
+        index = incidence(inner, dict.fromkeys(space.points + streamsN))
+        through = {DOpen(u): qs for u, qs in index.items()}
+        through.update((SingletonOpen(q), (q,)) for q in space.points)
     else:
-        family = tuple(
-            ("lifted", q, frozenset(point_members(space, q))) for q in streamsN
-        )
+        through = incidence(space, streamsN)
     return ForcingModel(
         space=space,
         universes=universes,
         constants=constants,
         bar=bar,
         rel_table=dict(rel_table) if rel_table is not None else None,
-        point_family=family,
+        through=through,
         depth=depth,
     )
 

@@ -62,6 +62,13 @@ def _int(data: Mapping, key: str, where: str, default=None, minimum=1) -> int:
     return got
 
 
+def _flag(data: Mapping, key: str, default: bool) -> bool:
+    got = data.get(key, default)
+    if not isinstance(got, bool):
+        raise InputError(f"bar: {key} must be true or false")
+    return got
+
+
 def _point_count(branch: int, max_prefix: int) -> int:
     """Eventually constant points with prefixes up to ``max_prefix``, exact up to the limit."""
     return branch ** (min(max_prefix, MAX_ELEMENTS) + 1)
@@ -158,8 +165,8 @@ def bar_from_json(data: Mapping) -> Bar:
     space = space_from_json(_object(data, "bar").get("space", data))
     if not isinstance(space, TruncatedSpace):
         raise InputError("bar: bars live over tree spaces")
-    monotone = bool(data.get("monotone", True))
-    inductive = bool(data.get("inductive", False))
+    monotone = _flag(data, "monotone", True)
+    inductive = _flag(data, "inductive", False)
     if "generators" in data:
         if not monotone:
             raise InputError("bar: generator form always yields a monotone bar")

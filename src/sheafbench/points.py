@@ -2,8 +2,10 @@
 
 A point is carried by an eventually constant stream: a finite prefix followed
 by a constant tail.  Its basic-open members are the prefixes of that stream
-that fit inside the truncated basis.  Arbitrary subsets can also be tested
-for pointhood, which is how defective candidates are rejected.
+that fit inside the truncated basis, a chain, and :func:`incidence` turns the
+chains of a point family into one index from each open to the points
+passing through it.  Arbitrary subsets can also be tested for pointhood,
+which is how defective candidates are rejected.
 """
 from __future__ import annotations
 
@@ -63,6 +65,29 @@ def point_members(space: TruncatedSpace, point: Point) -> frozenset:
     return frozenset(point.prefix_of(q) for q in range(space.depth + 1))
 
 
+def prefix_chain(seq: tuple, branch: int) -> tuple:
+    """Initial segments of ``seq`` in the ``branch``-ary tree, shortest first.
+
+    The chain stops before the first entry outside ``range(branch)``: no
+    sequence of that tree passes it.
+    """
+    cut = next((i for i, e in enumerate(seq) if not 0 <= e < branch), len(seq))
+    return tuple(seq[:k] for k in range(cut + 1))
+
+
+def incidence(space: TruncatedSpace, points: Iterable[Point]) -> dict:
+    """Each basic open mapped to the points through it, in family order.
+
+    Read off each point's member chain; a point listed twice keeps its
+    first place.  Opens no point passes through are absent.
+    """
+    index: dict = {}
+    for q in points:
+        for u in point_members(space, q):
+            index.setdefault(u, {})[q] = None
+    return {u: tuple(qs) for u, qs in index.items()}
+
+
 @dataclass(frozen=True)
 class PointCheck:
     ok: bool
@@ -109,11 +134,8 @@ def is_point(space: FormalSpace, subject) -> PointCheck:
 
 def ext_map(space: TruncatedSpace, points: Iterable[Point]) -> dict:
     """Extent of every basic open within the given point family."""
-    pts = tuple(points)
-    return {
-        a: frozenset(p for p in pts if p.passes_through(a))
-        for a in space.basis.elements
-    }
+    through = incidence(space, points)
+    return {a: frozenset(through.get(a, ())) for a in space.basis.elements}
 
 
 class ExtentTopology(Topology):
@@ -123,7 +145,7 @@ class ExtentTopology(Topology):
         super().__init__(basis)
         self._extent = extent
 
-    def cover(self, a, sieve: Sieve, fuel: int | None = None) -> CoverResult:
+    def cover(self, a, sieve: Sieve) -> CoverResult:
         self.basis.require(a)
         target = self._extent[a]
         reached = set()
@@ -135,8 +157,7 @@ class ExtentTopology(Topology):
 
 def pt_space(space: TruncatedSpace, points: Iterable[Point]) -> FormalSpace:
     """The spatial reflection: same elements, extent order, extent covers."""
-    pts = tuple(points)
-    extent = ext_map(space, pts)
+    extent = ext_map(space, points)
     elements = space.basis.elements
     basis = Basis({b: [a for a in elements if extent[a] <= extent[b]] for b in elements})
     return FormalSpace(basis, ExtentTopology(basis, extent))
@@ -162,7 +183,7 @@ def enough_points_check(
     many sampled spatial covers have no formal derivation, which measures how
     far the point family is from exhausting the space.
     """
-    extent = ext_map(space, tuple(points))
+    extent = ext_map(space, points)
     checked = 0
     bad = []
     spatial_only = 0

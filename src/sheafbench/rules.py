@@ -377,7 +377,7 @@ def bar_rule(bar: Bar, fuel: int | None = None):
     stages.append(("cover", {"witnesses": witnesses}))
 
     try:
-        induction = cover_induction(space.system, bar.holds, (), cover, fuel)
+        induction = cover_induction(space.system, bar.holds, (), cover)
     except NotACover as err:
         raise PremiseNotForced("cover") from err
     stages.append(("induction", {"transcript": induction}))

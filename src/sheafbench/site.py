@@ -339,14 +339,10 @@ class CoverResult:
     """Verdict of a cover test.
 
     ``covered`` is only ever True on the strength of an actual derivation.
-    ``exhausted`` marks the case where a derivation exists but is deeper than
-    the supplied fuel, so the caller sees "not covered within fuel" rather
-    than a refutation.
     """
 
     covered: bool
     depth: int | None = None
-    exhausted: bool = False
     frontier: tuple = ()
 
     def __bool__(self) -> bool:
@@ -359,7 +355,7 @@ class Topology:
     def __init__(self, basis: Basis):
         self.basis = basis
 
-    def cover(self, a: Element, sieve: Sieve, fuel: int | None = None) -> CoverResult:
+    def cover(self, a: Element, sieve: Sieve) -> CoverResult:
         raise NotImplementedError
 
 
@@ -369,7 +365,7 @@ class GeneratedTopology(Topology):
     A sieve covers ``a`` when ``a`` is reachable from the sieve's members by
     the rules "each family together derives its element".  Saturation over the
     fragment below ``a`` computes the minimal derivation depth of every
-    element, so fuel acts as a pure depth cutoff and never flips a verdict.
+    element.
     """
 
     def __init__(self, system: CoveringSystem):
@@ -402,7 +398,7 @@ class GeneratedTopology(Topology):
         self._depths[key] = depths
         return depths
 
-    def cover(self, a: Element, sieve: Sieve, fuel: int | None = None) -> CoverResult:
+    def cover(self, a: Element, sieve: Sieve) -> CoverResult:
         self.basis.require(a)
         depths = self._depth_map(a, sieve)
         depth = depths.get(a)
@@ -411,11 +407,9 @@ class GeneratedTopology(Topology):
                 v for v in self.basis.down(a) if v not in depths
             )
             return CoverResult(False, frontier=missing)
-        if fuel is not None and depth > fuel:
-            return CoverResult(False, depth=depth, exhausted=True)
         return CoverResult(True, depth=depth)
 
-    def derivation(self, a: Element, sieve: Sieve, fuel: int | None = None):
+    def derivation(self, a: Element, sieve: Sieve):
         """Minimal-depth derivation tree for a covered instance.
 
         Nodes are ``("base", v)`` for sieve members and
@@ -423,7 +417,7 @@ class GeneratedTopology(Topology):
         enumeration order whose premises all derive strictly earlier is used,
         which keeps transcripts deterministic.
         """
-        result = self.cover(a, sieve, fuel)
+        result = self.cover(a, sieve)
         if not result.covered:
             raise NotACover(f"{sieve!r} does not cover {a!r}")
         depths = self._depth_map(a, sieve)
@@ -463,7 +457,6 @@ def cover_induction(
     predicate: Callable[[Element], bool],
     a: Element,
     sieve: Sieve,
-    fuel: int | None = None,
 ) -> InductionTranscript:
     """Propagate a predicate from a covering sieve up to its root.
 
@@ -480,9 +473,9 @@ def cover_induction(
     for y in sorted(sieve.members, key=element_key):
         if not predicate(y):
             raise HypothesisFails(y, None)
-    if not topology.cover(a, sieve, fuel).covered:
+    if not topology.cover(a, sieve).covered:
         raise NotACover(f"{sieve!r} does not cover {a!r}")
-    derivation = topology.derivation(a, sieve, fuel)
+    derivation = topology.derivation(a, sieve)
 
     def annotate(node):
         if node[0] == "base":

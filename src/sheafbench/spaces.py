@@ -108,7 +108,7 @@ class BracketTopology(Topology):
         self.branch = branch
         self.depth = depth
 
-    def cover(self, u: Seq, sieve: Sieve, fuel: int | None = None) -> CoverResult:
+    def cover(self, u: Seq, sieve: Sieve) -> CoverResult:
         self.basis.require(u)
         for q in range(len(u), self.depth + 1):
             if all(sieve.contains(v) for v in bracket(self.branch, u, q)):

@@ -204,10 +204,16 @@ _POINT = {"prefix": [], "tail": 0}
     ("continuity", {"space": _BAIRE, "table": [1]}),
     ("continuity", {"space": _BAIRE, "table": [{"from": {"prefix": 5, "tail": 0}, "to": _POINT}]}),
     ("continuity", {"space": _BAIRE, "builtin": "constant", "value": {"prefix": [], "tail": True}}),
+    # bar flags are JSON booleans: a string such as "false" is neither
+    ("fan", {"space": _cantor(2), "members": [[0, 0], [0, 1], [1, 0], [1, 1]],
+             "monotone": "false"}),
+    ("fan", {"space": _cantor(2), "generators": [[0], [1]], "inductive": "false"}),
+    ("fan", {"space": _cantor(2), "generators": [[]], "inductive": "true"}),
 ], ids=["unknown-leq-element", "list-elements", "boolean-depth", "over-size-limit",
         "number-space", "number-leq", "list-covers", "list-bar", "number-generator",
         "generator-outside-space", "number-members", "list-rel", "number-table-entry",
-        "number-point-prefix", "boolean-point-tail"])
+        "number-point-prefix", "boolean-point-tail", "string-monotone-flag",
+        "string-inductive-flag", "string-true-flag"])
 def test_malformed_spaces_exit_2_without_a_traceback(command, document, tmp_path, capsys):
     path = _write(tmp_path / "input.json", document)
     formula = tmp_path / "f.txt"

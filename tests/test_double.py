@@ -1,15 +1,8 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheafbench.double import (
-    DOpen,
-    SingletonOpen,
-    anchored_point_members,
-    build_double,
-    canonical_maps,
-    enumerate_double_points,
-    lifted_point_members,
-)
+from sheafbench.double import DOpen, SingletonOpen, build_double, canonical_maps
+from sheafbench.forcing import standard_model
 from sheafbench.jsonio import space_from_json
 from sheafbench.maps import check_continuous_map, identity_map, pt_functor
 from sheafbench.points import Point, eventually_constant_points, is_point, point_members
@@ -32,6 +25,19 @@ def _standard_double(depth=2, max_prefix=1):
     inner = cantor_space(depth)
     pts = eventually_constant_points(2, max_prefix)
     return build_double(inner, pts)
+
+
+def _point_sets(dbl, **kwargs) -> dict:
+    """Member set of each point of the double, read off the forcing model's index.
+
+    A chosen point's set holds its own open {q} (the point anchored at {q});
+    any other stream's holds copies D(u) only (an inner point lifted).
+    """
+    members: dict = {}
+    for stage, points in standard_model(dbl, **kwargs).through.items():
+        for q in points:
+            members.setdefault(q, set()).add(stage)
+    return {q: frozenset(xs) for q, xs in members.items()}
 
 
 def test_double_basis_has_both_kinds():
@@ -150,9 +156,13 @@ def test_double_topology_axioms_on_samples():
 
 def test_anchored_and_lifted_member_sets_are_points():
     dbl = _standard_double()
-    for kind, q, members in enumerate_double_points(dbl):
-        verdict = is_point(dbl, members)
-        assert verdict.ok, (kind, q, verdict)
+    sets = _point_sets(dbl)
+    for q, members in sets.items():
+        lifted = frozenset(x for x in members if isinstance(x, DOpen))
+        assert members - lifted == ({dbl.singleton(q)} if q in dbl.points else set())
+        for kind, alpha in (("anchored", members), ("lifted", lifted)):
+            verdict = is_point(dbl, alpha)
+            assert verdict.ok, (kind, q, verdict)
 
 
 def test_bare_singleton_is_not_a_point():
@@ -163,14 +173,19 @@ def test_bare_singleton_is_not_a_point():
     assert verdict.failed_condition == 1
 
 
-def test_enumerate_double_points_shape():
-    dbl = _standard_double()
-    entries = enumerate_double_points(dbl)
-    kinds = [kind for kind, _, _ in entries]
-    assert kinds.count("anchored") == 4
-    assert kinds.count("lifted") == 4
-    extra = enumerate_double_points(dbl, extra_points=[Point((0, 1), 0)])
-    assert sum(1 for k, _, _ in extra if k == "lifted") == 5
+def test_model_index_lists_chosen_points_first():
+    dbl = build_double(cantor_space(2), [Point((1, 0), 1), Point((), 0)])
+    through = standard_model(dbl, prefix_cap=2).through
+    streams = eventually_constant_points(2, 2)
+    assert dbl.points == (Point((), 0), Point((1, 0), 1)) and len(streams) == 8
+    assert through[dbl.d(())] == dbl.points + tuple(q for q in streams if q not in dbl.points)
+    assert through[dbl.d((1,))] == (
+        Point((1, 0), 1), Point((), 1), Point((1,), 0), Point((1, 1), 0))
+    for q in dbl.points:
+        assert through[dbl.singleton(q)] == (q,)
+    # a stream outside the chosen family is lifted, never anchored
+    assert len(_point_sets(dbl, prefix_cap=2)) == 8
+    assert sum(isinstance(x, SingletonOpen) for x in through) == 2
 
 
 def test_canonical_maps_are_continuous():
@@ -218,8 +233,9 @@ def test_pt_functor_on_canonical_maps():
     inner = dbl.inner
     q = Point((0,), 1)
     alpha = point_members(inner, q)
-    assert pt_functor(cm.mu, [alpha])[alpha] == lifted_point_members(dbl, q)
-    anchored = anchored_point_members(dbl, q)
+    anchored = _point_sets(dbl)[q]
+    lifted = anchored - {dbl.singleton(q)}
+    assert pt_functor(cm.mu, [alpha])[alpha] == lifted
     assert pt_functor(cm.pi, [anchored])[anchored] == alpha
     nu_input = frozenset({q})
     assert pt_functor(cm.nu, [nu_input])[nu_input] == anchored

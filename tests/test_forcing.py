@@ -4,6 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from point_oracle import double_point_family, family_through, scan_observation, scan_through
 from sheafbench.double import build_double
 from sheafbench.forcing import (
     Amalgamation,
@@ -20,6 +21,7 @@ from sheafbench.forcing import (
     exists_witness_sieve,
     force,
     generic_value,
+    point_observation,
     prefix_atom,
     pure_value,
     rel_atom,
@@ -135,7 +137,7 @@ def test_generic_equality_holds_exactly_on_decided_leaves():
 
 def test_rel_atom_with_table_candidate_and_uniqueness():
     dbl = _double()
-    streams = [q for kind, q, _ in standard_model(dbl).point_family if kind == "lifted"]
+    streams = standard_model(dbl).points_through(dbl.d(()))
     table = {q: _shift(q) for q in streams}
     model = standard_model(dbl, rel_table=table)
     candidate = table_value(table, 2, label="shift")
@@ -155,7 +157,7 @@ def test_rel_atom_with_table_candidate_and_uniqueness():
 
 def test_identity_table_is_observationally_generic():
     dbl = _double()
-    streams = [q for kind, q, _ in standard_model(dbl).point_family if kind == "lifted"]
+    streams = standard_model(dbl).points_through(dbl.d(()))
     model = standard_model(dbl, rel_table={q: q for q in streams})
     ident = table_value(model.rel_table, 2, label="id")
     args = (("Seq2", ident), ("Seq2", generic_value(2)))
@@ -222,6 +224,33 @@ def test_singleton_forcing_is_truth_and_formulas_round_trip(seed):
     assert again == phi and hash(again) == hash(phi) and again.free == phi.free
     for q in dbl.points:
         assert force(model, dbl.singleton(q), phi) == classical_truth(model, q, phi), phi
+
+
+def _stream(branch, max_entry=None):
+    entry = st.integers(0, branch - 1 if max_entry is None else max_entry)
+    return st.builds(Point, st.lists(entry, max_size=4).map(tuple), entry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]), st.integers(0, 3), st.integers(0, 2))
+def test_model_point_index_matches_the_anchored_and_lifted_scan(data, branch, depth, cap):
+    inner = cantor_space(depth) if branch == 2 else baire_space(3, depth)
+    double = build_double(inner, data.draw(st.lists(_stream(branch), max_size=5)))
+    streams = eventually_constant_points(branch, cap)
+    model = standard_model(double, prefix_cap=cap)
+    # order included: it decides whether Rel on a partial table fails or raises
+    family = double_point_family(double, streams)
+    for stage in double.basis.elements:
+        assert model.points_through(stage) == family_through(family, stage)
+    assert set(model.through) <= set(double.basis.elements)
+    tree_model = standard_model(inner, prefix_cap=cap)
+    scanned = scan_through(inner.basis.elements, streams)
+    assert {u: tree_model.points_through(u) for u in inner.basis.elements} == scanned
+    # streams stepping outside the target tree are seen up to the first step out
+    for point in data.draw(st.lists(_stream(branch, max_entry=4), max_size=4)):
+        for target in (2, branch):
+            assert point_observation(model, point, target) == scan_observation(
+                point, target, depth)
 
 
 def test_fuel_exhaustion_is_distinguished():

@@ -39,6 +39,20 @@ FILES = {
     "rel.json": {"space": {"kind": "baire", "branch": 2, "depth": 2},
                  "builtin": "shift"},
 }
+# each builtin table of the continuity rule over small tree spaces
+TREES = {
+    "cantor1": {"kind": "cantor", "depth": 1},
+    "cantor2": {"kind": "cantor", "depth": 2},
+    "cantor3": {"kind": "cantor", "depth": 3},
+    "cantor4": {"kind": "cantor", "depth": 4},
+    "baire3-1": {"kind": "baire", "branch": 3, "depth": 1},
+    "baire3-2": {"kind": "baire", "branch": 3, "depth": 2},
+}
+for _tree, _space in TREES.items():
+    FILES[f"rel-{_tree}-identity.json"] = {"space": _space, "builtin": "identity"}
+    FILES[f"rel-{_tree}-shift.json"] = {"space": _space, "builtin": "shift"}
+    FILES[f"rel-{_tree}-constant.json"] = {"space": _space, "builtin": "constant",
+                                           "value": {"prefix": [1], "tail": 0}}
 
 # name -> (argv, exit status, sha256 of the --out report, sha256 of stdout)
 GOLDEN = {
@@ -101,6 +115,136 @@ GOLDEN = {
         ["check", "brouwer"], 0,
         "8dc37a5867e5d035286e7be4e3940f42597db25ae8008b10049a19a28b8c398a",
         "18959041f781f5ccac8fd9f07bc4db8150308b1cdb405503f9ee97d11b4bab9b",
+    ),
+    # Cantor depth 4: identity and shift do not conclude (NotUnique, NotForced)
+    # because some stages of the double have no point of the model through
+    # them, so a table value there ranges over the whole tree
+    "continuity-baire3-1-constant": (
+        ["continuity", "--rel", "rel-baire3-1-constant.json"], 0,
+        "1c79f4af841d3a1c9ba67d93c80f4653d16c890253690093f437da914b1da221",
+        "42a84b95910596cdd3e3f1816e667665a413e3fb58b7646f6e5a4ad318a03469",
+    ),
+    "continuity-baire3-1-identity": (
+        ["continuity", "--rel", "rel-baire3-1-identity.json"], 0,
+        "a6bd9350c7c56d3192f24e5e7cc1d61964acdb8ec077da56a89f46cd59134dbf",
+        "addcdaeb4daac1d95561ac4010d362ae496b10c808356edc77544c92c2bf0052",
+    ),
+    "continuity-baire3-1-shift": (
+        ["continuity", "--rel", "rel-baire3-1-shift.json"], 0,
+        "0863ff9fb73474299006f81e498da2b25ebb57f3aeaceb0d4cb1675b410b85ff",
+        "384582e175098ed4ea5b868e64920dffc6bb34f7aa1249a0abff685facc62e2f",
+    ),
+    "continuity-baire3-2-constant": (
+        ["continuity", "--rel", "rel-baire3-2-constant.json"], 0,
+        "615655740dba51d9b508c4bd51dc42f6b511ffd5b5afe9c18276a42632d98ae7",
+        "a27e4ed1ecd362d34eb13b0e05c0563faa3286f44d24884ab4fe60c704a8dfa4",
+    ),
+    "continuity-baire3-2-identity": (
+        ["continuity", "--rel", "rel-baire3-2-identity.json"], 0,
+        "3694c73a4b5ad82ee23dd51b9d925c947c5972543fbe4118d028535cf2142aa2",
+        "5307303f0fbd585f33d61a514f0c8ec4f812c158846c85044c549ef2044e2ad4",
+    ),
+    "continuity-baire3-2-shift": (
+        ["continuity", "--rel", "rel-baire3-2-shift.json"], 0,
+        "471d1d55fc596d48a59ee247370d7d0a0ad0e0de96322b7dd8bdf36768e41710",
+        "3defd35021132eb535bf10d4e4c5add42a20da67328b2ad9d73ad8bbb0039d24",
+    ),
+    "continuity-cantor1-constant": (
+        ["continuity", "--rel", "rel-cantor1-constant.json"], 0,
+        "b6128d52aa90130b6a52f76e9a8e53eba74523b312d6bf56009eaf88ba8359d5",
+        "d996159e074ff7bf408ef3b5290cbfb7fc67aafe0fe37c0013ddca4e7e56fedb",
+    ),
+    "continuity-cantor1-identity": (
+        ["continuity", "--rel", "rel-cantor1-identity.json"], 0,
+        "33b4f144292f2d7461e92886cb9783b13524ddd96768555703f5cffef9c8a396",
+        "8180a8153c7272366869e6523227ed6a1320db15796a778e6bf3518977bdf77c",
+    ),
+    "continuity-cantor1-shift": (
+        ["continuity", "--rel", "rel-cantor1-shift.json"], 0,
+        "2681e228cea30b82d0c8a7ca3c4ca4611cff23a4d91f593acde7d73870ccbc41",
+        "8e265b90dddc0a4a36a4064588a261958221dc6242587e5be1aec829024a13c1",
+    ),
+    "continuity-cantor2-constant": (
+        ["continuity", "--rel", "rel-cantor2-constant.json"], 0,
+        "080b592b1b595ed493d0bf50890d7609709f93d75d75b71c8e8edb6adf9f8652",
+        "631595f758c7de47cb22ac49856977380f315f413618742fe2d08431d5d2531c",
+    ),
+    "continuity-cantor2-identity": (
+        ["continuity", "--rel", "rel-cantor2-identity.json"], 0,
+        "81f32f5834b1695dec7d5367950c3a46d1f111f31c34061affd50c90cb1b86c9",
+        "4b074d1a86c4aa7b9ea931cf4d6287cf7b0ec721944ebce4f3b4e52b0e02d1e2",
+    ),
+    "continuity-cantor2-shift": (
+        ["continuity", "--rel", "rel-cantor2-shift.json"], 0,
+        "877515446d9643f6e93e84064682052c56367428c32c1a887ebc0e3e9c758a97",
+        "c157b4f244716c7c9ad91dca935ca7fe54198e38a260bffc856ce4ce7ed50d65",
+    ),
+    "continuity-cantor3-constant": (
+        ["continuity", "--rel", "rel-cantor3-constant.json"], 0,
+        "f585fd0635252454723b6bfc1dc67fee297de9f85fd31d81b97d62eb2311c66e",
+        "837dd55860af999d4862a28497fcaaa4c53c5120fabe6ef8d5a1ad04ef7ec89e",
+    ),
+    "continuity-cantor3-identity": (
+        ["continuity", "--rel", "rel-cantor3-identity.json"], 0,
+        "3bb6d2a5f488c6dd9a8926e07b5c314bffbe1bdd3fc5b10ea82e2a81e864d2ee",
+        "77a72fe542d861deb14ad1d935851f4887dd80892036a73bc9e0b4202ca3ba62",
+    ),
+    "continuity-cantor3-shift": (
+        ["continuity", "--rel", "rel-cantor3-shift.json"], 0,
+        "b15ce1c945847ced8c26573779d07331ff5924b21398bdeb801d85a76437e454",
+        "83f031b71d82153d6649ad57d7aa547abb7e579553d0f85eca4a1efce572118f",
+    ),
+    "continuity-cantor4-identity": (
+        ["continuity", "--rel", "rel-cantor4-identity.json"], 1,
+        "54bcfd56208566688f887f14faa8dd85b065f8717df9f9f6a1dc1637b52d10aa",
+        "d695a9fb801072aecc24a9666e4af66e5eb1204404a27a6ffdc0b20953aef7e0",
+    ),
+    "continuity-cantor4-shift": (
+        ["continuity", "--rel", "rel-cantor4-shift.json"], 1,
+        "a97948aa522637e6230ec3c7d0fc45ee1aef4350f1b73ada4bb56495693d0cef",
+        "ddd8314cd3e6c4372c80ae00280537c2baa63149881056ce398ae114b1756455",
+    ),
+    "check-continuity": (
+        ["check", "continuity", "--seed", "5"], 0,
+        "05a2f00120641f65daaa2a929c4fe8d850db4f027b6008922283f6a27023a5f0",
+        "29bafd2f5a895c9d84d576c703dbe1a13012dc6165c6bebbea0d398a9a3ad3d5",
+    ),
+    # the bar premise takes 309 forcing steps: below that the run reports
+    # FuelExhausted, from there on it concludes; fuel bounds forcing steps only
+    "bar-fuel-0": (
+        ["bar", "--bar", "bar.json", "--fuel", "0"], 1,
+        "8126cb1d747bec90a3f7d0eb67dcdfd63b009382b37690d13308aa7730985133",
+        "91a74bb0c24d3a158574daae7e6098f786b9f12be942f189a8b23e6d5ea8a9ad",
+    ),
+    "bar-fuel-1": (
+        ["bar", "--bar", "bar.json", "--fuel", "1"], 1,
+        "6dae17974fd7111865458fcc0fcfd4c19a57eb646093df6d8b06aa25facc821f",
+        "033775f87e1fd8fcb7199b6294874aceff04d11d3d8102392a8f65432b40d87d",
+    ),
+    "bar-fuel-154": (
+        ["bar", "--bar", "bar.json", "--fuel", "154"], 1,
+        "1d2086f757168bf8fa3f38cf5aa02d3ca0a05e9bc1cb89a8b71ef545667ae57f",
+        "0ae8aef61087139816e750d66303057d6402919219ea16f062d79150f4de4b5d",
+    ),
+    "bar-fuel-308": (
+        ["bar", "--bar", "bar.json", "--fuel", "308"], 1,
+        "e49b6d4acdf5e962b076d2cb764d51ef24ca1b53e853211ba4bdb9d906f00eb9",
+        "45e2d6f647d934806f80ad63b292c82c3b3e1fc5130c997caa214d9099f3e7eb",
+    ),
+    "bar-fuel-309": (
+        ["bar", "--bar", "bar.json", "--fuel", "309"], 0,
+        "8cc65a274c8ed05b4303d19be50ecb5d69eefe178859cc3febb240dd31dde54e",
+        "d4263ff195f782cb3b8be2e95f67c18dd7cbbcb77022addb3cadfcb515c0c891",
+    ),
+    "bar-fuel-310": (
+        ["bar", "--bar", "bar.json", "--fuel", "310"], 0,
+        "e8e398438615553014f3fc74541611f5a2522f6841ab8045d07929afa85bce5e",
+        "d4263ff195f782cb3b8be2e95f67c18dd7cbbcb77022addb3cadfcb515c0c891",
+    ),
+    "bar-fuel-3090": (
+        ["bar", "--bar", "bar.json", "--fuel", "3090"], 0,
+        "f56e7ce79eb073f7d4dc225c104a358e920058f715d04e0a570552a92ac0f51b",
+        "d4263ff195f782cb3b8be2e95f67c18dd7cbbcb77022addb3cadfcb515c0c891",
     ),
 }
 

@@ -1,14 +1,21 @@
+from functools import lru_cache
+
+from hypothesis import given, settings, strategies as st
+
+from point_oracle import scan_generic, scan_observation, scan_through
 from sheafbench.points import (
     Point,
     enough_points_check,
     eventually_constant_points,
     ext_map,
+    incidence,
     is_point,
     point_members,
+    prefix_chain,
     pt_space,
 )
 from sheafbench.site import Sieve
-from sheafbench.spaces import cantor_space
+from sheafbench.spaces import all_sequences, baire_space, cantor_space
 
 
 def _stream_prefix(point, n):
@@ -111,3 +118,38 @@ def test_poor_point_family_still_sound_but_not_complete():
     report = enough_points_check(space, pts, sieve_cap=64)
     assert report.ok  # formal covers are always spatial covers
     assert report.spatial_not_formal > 0
+
+
+@lru_cache(maxsize=None)
+def _tree_space(branch, depth):
+    return cantor_space(depth) if branch == 2 else baire_space(branch, depth)
+
+
+def _points(max_entry):
+    entry = st.integers(0, max_entry)
+    return st.builds(Point, st.lists(entry, max_size=6).map(tuple), entry)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]), st.integers(0, 4))
+def test_incidence_matches_the_passes_through_scan(data, branch, depth):
+    # Cantor and Baire(3) at depth 0-4, random families with repeats and
+    # prefixes longer than the truncation
+    space = _tree_space(branch, depth)
+    points = data.draw(st.lists(_points(branch - 1), max_size=8))
+    index = incidence(space, points)
+    scanned = scan_through(space.basis.elements, points)
+    assert {a: index.get(a, ()) for a in space.basis.elements} == scanned
+    assert set(index) <= set(space.basis.elements)
+    assert ext_map(space, points) == {a: frozenset(qs) for a, qs in scanned.items()}
+
+
+@settings(max_examples=120, deadline=None)
+@given(_points(4), st.sampled_from([2, 3]), st.integers(0, 4))
+def test_prefix_chains_match_the_target_tree_scan(point, branch, depth):
+    # entries up to 4 step outside both trees, where the chain is cut
+    chain = prefix_chain(point.prefix_of(depth), branch)
+    assert frozenset(chain) == scan_observation(point, branch, depth)
+    assert [len(u) for u in chain] == list(range(len(chain)))
+    for seq in all_sequences(branch, depth):
+        assert frozenset(prefix_chain(seq, branch)) == scan_generic(seq, branch, depth)

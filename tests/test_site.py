@@ -281,25 +281,18 @@ def test_child_cover_of_root_is_covering():
     space = baire_space(2, 2)
     s = Sieve.from_generators(space.basis, (), [(0,), (1,)])
     assert space.topology.cover((), s).covered
+    # the leaves cover the root as well, by a derivation one level a step
+    deep = baire_space(2, 3)
+    res = deep.topology.cover((), Sieve.from_generators(deep.basis, (), deep.leaves()))
+    assert res.covered and res.depth == 3
 
 
 def test_single_branch_is_never_covering():
     space = baire_space(2, 2)
     s = Sieve.from_generators(space.basis, (), [(0,)])
-    for fuel in (0, 1, 5, None):
-        res = space.topology.cover((), s, fuel)
-        assert not res.covered
-        assert not res.exhausted
-
-
-def test_fuel_bounds_derivation_depth_without_flipping_verdicts():
-    space = baire_space(2, 3)
-    leaves = [u for u in space.basis.elements if len(u) == 3]
-    s = Sieve.from_generators(space.basis, (), leaves)
-    deep = space.topology.cover((), s)
-    assert deep.covered and deep.depth == 3
-    starved = space.topology.cover((), s, fuel=2)
-    assert not starved.covered and starved.exhausted
+    res = space.topology.cover((), s)
+    assert not res.covered
+    assert res.frontier == ((), (1,), (1, 0), (1, 1))
 
 
 def test_generated_cover_matches_path_oracle():

@@ -165,3 +165,25 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         )
     )
     assert uncalled == sorted(TEST_REFERENCES)
+
+
+# (module, top-level definition) allowed to ask a point for one prefix, and why
+PASSES_THROUGH_CALLERS = {
+    ("rules.py", "_recheck_fan"): "rechecks each recorded discharge point against its "
+                                  "level member, one question per point",
+}
+
+
+def test_point_incidence_is_read_from_the_index():
+    # "which points pass through this open" has one answer, points.incidence,
+    # read off each point's prefix chain; scanning with passes_through elsewhere
+    # would compute it a second way
+    calls = sorted(
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py")) if path.name != "points.py"
+        for stmt in _tree(path).body
+        for owner in [getattr(stmt, "name", None)]
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr == "passes_through"
+    )
+    assert calls == sorted(PASSES_THROUGH_CALLERS)
