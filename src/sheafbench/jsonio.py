@@ -18,9 +18,9 @@ from .site import (
     Basis,
     CoveringSystem,
     FormalSpace,
-    GeneratedTopology,
     Sieve,
     UnknownElement,
+    generate_topology,
 )
 from .spaces import Bar, TruncatedSpace, baire_space, bar_from_generators, cantor_space
 
@@ -141,11 +141,10 @@ def space_from_json(data: Mapping) -> FormalSpace:
             for a, fams in _object(data.get("covers", {}), "space: covers").items()
         }
         try:
-            system = CoveringSystem(basis, table)
-            system.validate()
+            topology = generate_topology(CoveringSystem(basis, table))
         except (UnknownElement, ValueError) as exc:
             raise InputError(f"space: {exc}") from None
-        return FormalSpace(basis, GeneratedTopology(system), system)
+        return FormalSpace(basis, topology, topology.system)
     raise InputError(f"space: unknown kind {kind!r}")
 
 

@@ -61,8 +61,8 @@ def eventually_constant_points(branch: int, max_prefix: int) -> tuple:
 
 
 def point_members(space: TruncatedSpace, point: Point) -> frozenset:
-    """Basic opens the point lies in: stream prefixes within the truncation."""
-    return frozenset(point.prefix_of(q) for q in range(space.depth + 1))
+    """Basic opens the point lies in: stream prefixes within the tree."""
+    return frozenset(prefix_chain(point.prefix_of(space.depth), space.branch))
 
 
 def prefix_chain(seq: tuple, branch: int) -> tuple:

@@ -90,13 +90,16 @@ def make_section(space: FormalSpace, root, assignments) -> NatSection:
     pieces = []
     for value in sorted(gens_by_value, key=element_key):
         zone = [w for w in fragment if value_of.get(w) == value]
+        seen = set()
         for w in zone:
+            # a piece is maximal in its zone and the first of its class there
             if not any(
-                v != w and value_of.get(v) == value
+                v != w and value_of.get(v) == value and (v not in basis.below(w) or v in seen)
                 for v in basis.up(w)
                 if v in frag_set
             ):
                 pieces.append((w, value))
+            seen.add(w)
     return NatSection(root, tuple(sorted(pieces, key=_piece_key)))
 
 

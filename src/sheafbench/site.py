@@ -435,9 +435,9 @@ class GeneratedTopology(Topology):
 
 
 def generate_topology(system: CoveringSystem) -> GeneratedTopology:
-    """Build the generated topology of a covering system.
+    """Build the generated topology of a covering system, axiom checked first.
 
-    The covering axiom is verified first.
+    For data from outside; systems built by a fixed formula skip the check.
     """
     system.validate()
     return GeneratedTopology(system)

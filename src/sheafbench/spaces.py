@@ -16,10 +16,10 @@ from .site import (
     CoverResult,
     CoveringSystem,
     FormalSpace,
+    GeneratedTopology,
     NotACover,
     Sieve,
     Topology,
-    generate_topology,
 )
 
 Seq = tuple
@@ -143,14 +143,12 @@ def _bracket_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:
 
 
 def cantor_space(depth: int) -> TruncatedSpace:
-    """Truncated binary space with the direct bracket cover test."""
+    """Truncated binary space with bracket covers: valid by construction, so not validated."""
     basis = tree_basis(2, depth)
-    system = _bracket_system(basis, 2, depth)
-    system.validate()
     return TruncatedSpace(
         basis=basis,
         topology=BracketTopology(basis, 2, depth),
-        system=system,
+        system=_bracket_system(basis, 2, depth),
         kind="cantor",
         branch=2,
         depth=depth,
@@ -158,15 +156,14 @@ def cantor_space(depth: int) -> TruncatedSpace:
 
 
 def baire_space(branch: int, depth: int) -> TruncatedSpace:
-    """Truncated ``branch``-ary space with the generated child-family covers."""
+    """Truncated ``branch``-ary space with child covers: valid by construction, not validated."""
     if branch < 1:
         raise ValueError("branch must be at least 1")
     basis = tree_basis(branch, depth)
     system = _child_system(basis, branch, depth)
-    topology = generate_topology(system)
     return TruncatedSpace(
         basis=basis,
-        topology=topology,
+        topology=GeneratedTopology(system),
         system=system,
         kind="baire",
         branch=branch,

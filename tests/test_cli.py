@@ -209,11 +209,14 @@ _POINT = {"prefix": [], "tail": 0}
              "monotone": "false"}),
     ("fan", {"space": _cantor(2), "generators": [[0], [1]], "inductive": "false"}),
     ("fan", {"space": _cantor(2), "generators": [[]], "inductive": "true"}),
+    # b lies below a and carries no family, so a's family {b} does not restrict to b
+    ("force", {"kind": "finite", "elements": ["a", "b"], "leq": [["b", "a"]],
+               "covers": {"a": [["b"]]}}),
 ], ids=["unknown-leq-element", "list-elements", "boolean-depth", "over-size-limit",
         "number-space", "number-leq", "list-covers", "list-bar", "number-generator",
         "generator-outside-space", "number-members", "list-rel", "number-table-entry",
         "number-point-prefix", "boolean-point-tail", "string-monotone-flag",
-        "string-inductive-flag", "string-true-flag"])
+        "string-inductive-flag", "string-true-flag", "covering-axiom-violation"])
 def test_malformed_spaces_exit_2_without_a_traceback(command, document, tmp_path, capsys):
     path = _write(tmp_path / "input.json", document)
     formula = tmp_path / "f.txt"

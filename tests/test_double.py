@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -6,7 +8,7 @@ from sheafbench.forcing import standard_model
 from sheafbench.jsonio import space_from_json
 from sheafbench.maps import check_continuous_map, identity_map, pt_functor
 from sheafbench.points import Point, eventually_constant_points, is_point, point_members
-from sheafbench.site import Sieve, check_topology_axioms
+from sheafbench.site import CoveringSystem, Sieve, check_topology_axioms
 from sheafbench.spaces import baire_space, cantor_space
 
 
@@ -79,20 +81,34 @@ def test_double_down_sets_match_the_relation(branch, depth, max_prefix, deep):
 
 
 def test_building_a_double_asks_no_point_for_its_prefixes(monkeypatch):
-    calls = []
-    passes_through = Point.passes_through
+    # tree spaces and doubles are valid by construction: building one asks no
+    # point for its prefixes, validates no covering system and checks no stream
+    calls = {"passes_through": 0, "validate": 0, "is_point": 0}
 
-    def counted(point, u):
-        calls.append((point, u))
-        return passes_through(point, u)
+    def count(owners, name):
+        original = getattr(owners[0], name)
 
-    monkeypatch.setattr(Point, "passes_through", counted)
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        for owner in owners:
+            if getattr(owner, name, None) is original:
+                monkeypatch.setattr(owner, name, counted)
+
+    count([Point], "passes_through")
+    count([CoveringSystem], "validate")
+    # a module that imports the function by name holds its own reference
+    count([m for n, m in sorted(sys.modules.items()) if n.startswith("sheafbench")], "is_point")
+    cantor_space(6)
+    baire_space(3, 3)
     dbl = build_double(cantor_space(5), eventually_constant_points(2, 3))
     assert len(dbl.points) == 16
     loaded = space_from_json({"kind": "double", "inner": {"kind": "cantor", "depth": 5},
                               "max_prefix": 3})
     assert loaded.basis.elements == dbl.basis.elements
-    assert calls == []
+    space_from_json({"kind": "cantor", "depth": 6})
+    space_from_json({"kind": "baire", "branch": 3, "depth": 3})
+    assert calls == {"passes_through": 0, "validate": 0, "is_point": 0}
 
 
 def test_rejects_streams_outside_the_branching():

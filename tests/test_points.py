@@ -3,6 +3,7 @@ from functools import lru_cache
 from hypothesis import given, settings, strategies as st
 
 from point_oracle import scan_generic, scan_observation, scan_through
+from sheafbench.maps import check_continuous_map, point_as_map
 from sheafbench.points import (
     Point,
     enough_points_check,
@@ -20,6 +21,16 @@ from sheafbench.spaces import all_sequences, baire_space, cantor_space
 
 def _stream_prefix(point, n):
     return tuple(point.value(i) for i in range(n))
+
+
+@lru_cache(maxsize=None)
+def _tree_space(kind, branch, depth):
+    return cantor_space(depth) if kind == "cantor" else baire_space(branch, depth)
+
+
+def _points(max_entry):
+    entry = st.integers(0, max_entry)
+    return st.builds(Point, st.lists(entry, max_size=6).map(tuple), entry)
 
 
 def test_point_normalization_is_canonical():
@@ -50,10 +61,21 @@ def test_point_members_are_stream_prefixes():
     assert got == frozenset({(), (1,), (1, 0), (1, 0, 1)})
 
 
-def test_is_point_accepts_eventually_constant_streams():
-    space = cantor_space(3)
-    for p in eventually_constant_points(2, 3):
-        assert is_point(space, p).ok
+@settings(max_examples=200, deadline=None)
+@given(st.data(), st.sampled_from([("cantor", 2)] + [("baire", b) for b in range(1, 5)]),
+       st.integers(0, 5))
+def test_is_point_accepts_eventually_constant_streams(data, shape, depth):
+    # the lemma build_double relies on instead of checking each stream:
+    # entries inside the branching make a point, prefixes past the depth too
+    kind, branch = shape
+    assert is_point(_tree_space(kind, branch, depth), data.draw(_points(branch - 1))).ok
+
+
+def test_streams_outside_the_branching_fail_the_point_checks():
+    space = cantor_space(2)
+    for stream in (Point((2,), 0), Point((0,), 3)):
+        assert is_point(space, stream).failed_condition == 3
+        assert not check_continuous_map(point_as_map(space, stream)).ok
 
 
 def test_is_point_rejects_two_branch_subset():
@@ -120,22 +142,12 @@ def test_poor_point_family_still_sound_but_not_complete():
     assert report.spatial_not_formal > 0
 
 
-@lru_cache(maxsize=None)
-def _tree_space(branch, depth):
-    return cantor_space(depth) if branch == 2 else baire_space(branch, depth)
-
-
-def _points(max_entry):
-    entry = st.integers(0, max_entry)
-    return st.builds(Point, st.lists(entry, max_size=6).map(tuple), entry)
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.data(), st.sampled_from([2, 3]), st.integers(0, 4))
 def test_incidence_matches_the_passes_through_scan(data, branch, depth):
     # Cantor and Baire(3) at depth 0-4, random families with repeats and
     # prefixes longer than the truncation
-    space = _tree_space(branch, depth)
+    space = _tree_space("cantor" if branch == 2 else "baire", branch, depth)
     points = data.draw(st.lists(_points(branch - 1), max_size=8))
     index = incidence(space, points)
     scanned = scan_through(space.basis.elements, points)

@@ -47,6 +47,18 @@ def test_make_section_keeps_maximal_zone_opens():
     assert sec.pieces == (((0,), 1), ((1, 0), 2), ((1, 1), 3))
 
 
+def test_make_section_keeps_one_open_of_each_equivalent_pair():
+    # a and b lie below each other: the piece is the first in canonical order
+    basis = Basis.from_pairs(["a", "b"], [("a", "b"), ("b", "a")])
+    system = CoveringSystem(basis, {})
+    space = FormalSpace(basis, generate_topology(system), system)
+    for root in ("a", "b"):
+        sec = make_section(space, root, [(root, 1)])
+        assert sec.pieces == (("a", 1),)
+        assert value_at(space, sec, "b") == 1
+        assert restrict_section(space, sec, "b") == NatSection("b", (("a", 1),))
+
+
 def test_make_section_rejects_partial_assignments():
     space = cantor_space(2)
     with pytest.raises(NotASection):

@@ -131,6 +131,7 @@ TEST_REFERENCES = {
     "pt_space": "the spatial reflection of a tree space over a point family",
     "enough_points_check": "formal covers against spatial covers over a point family",
     "sup": "the node constructor of Brouwer trees, used to build the trees k_map reads",
+    "is_point": "the oracle of the lemma that every stream inside the branching is a point",
 }
 
 
@@ -187,3 +188,26 @@ def test_point_incidence_is_read_from_the_index():
         if isinstance(node, ast.Attribute) and node.attr == "passes_through"
     )
     assert calls == sorted(PASSES_THROUGH_CALLERS)
+
+
+# (module, top-level definition) allowed to check the covering axiom, and why
+VALIDATE_CALLERS = {
+    ("site.py", "generate_topology"): "the constructor for covering data from outside "
+                                      "the program, such as a JSON finite space",
+    ("randomgen.py", "random_covering_system"): "repairs a seeded random system until "
+                                                "it satisfies the axiom",
+}
+
+
+def test_only_outside_data_is_validated():
+    # the tree spaces' families satisfy the covering axiom by construction,
+    # a lemma the tests prove once; re-checking it at every build is waste
+    calls = sorted(
+        (path.name, owner)
+        for path in sorted(PACKAGE.glob("*.py"))
+        for stmt in _tree(path).body
+        for owner in [getattr(stmt, "name", None)]
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr == "validate"
+    )
+    assert calls == sorted(VALIDATE_CALLERS)

@@ -107,6 +107,20 @@ def test_binary_child_system_agrees_with_bracket_test():
         )
 
 
+@pytest.mark.parametrize("depth", range(10))
+def test_bracket_system_satisfies_the_covering_axiom(depth):
+    # cantor_space builds without validating: this is the lemma it relies on
+    cantor_space(depth).system.validate()
+
+
+@pytest.mark.parametrize("branch, depth", [
+    (b, d) for b in range(1, 6) for d in range(9) if sum(b ** k for k in range(d + 1)) <= 400
+])
+def test_child_system_satisfies_the_covering_axiom(branch, depth):
+    # baire_space builds without validating: this is the lemma it relies on
+    baire_space(branch, depth).system.validate()
+
+
 def test_kfinite_subcover_revalidates():
     space = cantor_space(3)
     s = Sieve.from_generators(space.basis, (), [(0,), (1, 0), (1, 1)])
