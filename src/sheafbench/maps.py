@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .site import Basis, FormalSpace, GeneratedTopology, CoveringSystem, Sieve, element_key
-from .points import Point, point_members
+from .points import member_set
 
 
 def _pair_key(pair):
@@ -221,11 +221,8 @@ def point_as_map(space: FormalSpace, subject) -> ContinuousMap:
     The subject is taken literally (saturation cannot repair it), so the
     continuity check fails exactly when pointhood does.
     """
-    members = point_members(space, subject) if isinstance(subject, Point) else frozenset(subject)
-    for u in members:
-        space.basis.require(u)
     one = one_point_space()
-    pairs = frozenset((STAR, u) for u in members)
+    pairs = frozenset((STAR, u) for u in member_set(space, subject))
     return ContinuousMap(one, space, pairs)
 
 

@@ -95,8 +95,11 @@ class PointCheck:
     witness: tuple = ()
 
 
-def _as_member_set(space: FormalSpace, subject) -> frozenset:
+def member_set(space: FormalSpace, subject) -> frozenset:
+    """A candidate point's basic opens: a stream's prefixes, or the given opens."""
     if isinstance(subject, Point):
+        if not isinstance(space, TruncatedSpace):
+            raise TypeError("a stream names a point of a tree space only")
         return point_members(space, subject)
     members = frozenset(subject)
     for x in members:
@@ -111,7 +114,7 @@ def is_point(space: FormalSpace, subject) -> PointCheck:
     suffices for the generated relation; a space without a covering system
     has no families to meet.
     """
-    alpha = _as_member_set(space, subject)
+    alpha = member_set(space, subject)
     basis = space.basis
     if not alpha:
         return PointCheck(False, 2, ())

@@ -7,6 +7,11 @@ tuple equality.  Values can be any hashable labels: naturals, finite
 sequences, or eventually constant streams, which is how the sorts used by the
 forcing interpreter all arise from one construction.
 
+A zone is down-closed and cover-closed, so restricting to ``b`` needs no
+cover test: each zone meets the down-set of ``b`` in the new zone.  That set
+is cover-closed, since what it covers the old zone covers by transitivity of
+the topology, which every ``FormalSpace`` here has.
+
 The space is assumed positive (no open is covered by the empty sieve); all
 spaces built in this package are.
 """
@@ -47,9 +52,35 @@ class NatSection:
     root: object
     pieces: tuple  # ((element, value), ...) with maximal zone elements
 
+    def __post_init__(self):
+        # restriction caches and fingerprints hash a section on every lookup
+        object.__setattr__(self, "_hash", hash((self.root, self.pieces)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
     def __repr__(self) -> str:
         body = ", ".join(f"{elem!r}:{val!r}" for elem, val in self.pieces)
         return f"<section@{self.root!r} {body}>"
+
+
+def _from_zones(basis: Basis, root, zones: Mapping) -> NatSection:
+    """The section on ``root`` holding each value on its zone.
+
+    Zones are down-closed and pairwise disjoint; the pieces are each zone's
+    maximal elements, the first in canonical order of each class.
+    """
+    pieces = []
+    seen: set = set()
+    for value, zone in zones.items():
+        for w in basis.down(root):
+            if w in zone:
+                above = zone.intersection(basis.up(w))
+                # a piece is maximal in its zone and the first of its class there
+                if above <= basis.below(w) and seen.isdisjoint(above):
+                    pieces.append((w, value))
+                seen.add(w)
+    return NatSection(root, tuple(sorted(pieces, key=_piece_key)))
 
 
 def make_section(space: FormalSpace, root, assignments) -> NatSection:
@@ -60,12 +91,13 @@ def make_section(space: FormalSpace, root, assignments) -> NatSection:
     """
     basis = space.basis
     basis.require(root)
+    below_root = basis.below(root)
     if isinstance(assignments, Mapping):
         assignments = tuple(assignments.items())
     gens_by_value: dict = {}
     for elem, value in assignments:
         basis.require(elem)
-        if not basis.leq(elem, root):
+        if elem not in below_root:
             raise NotASection(f"{elem!r} is not below the root {root!r}")
         gens_by_value.setdefault(value, []).append(elem)
 
@@ -73,57 +105,47 @@ def make_section(space: FormalSpace, root, assignments) -> NatSection:
     if not space.topology.cover(root, Sieve.from_generators(basis, root, all_gens)).covered:
         raise NotASection(f"assigned opens do not cover {root!r}")
 
-    fragment = basis.down(root)
+    zones: dict = {}
     value_of: dict = {}
     for value in sorted(gens_by_value, key=element_key):
-        gens = gens_by_value[value]
-        full = Sieve.from_generators(basis, root, gens)
-        for w in fragment:
+        full = Sieve.from_generators(basis, root, gens_by_value[value])
+        zone = zones[value] = set()
+        for w in basis.down(root):
             if space.topology.cover(w, full.restrict(w)).covered:
-                if w in value_of and value_of[w] != value:
+                if w in value_of:
                     raise IncompatibleAssignment(
                         f"{w!r} lies in the zones of {value_of[w]!r} and {value!r}"
                     )
                 value_of[w] = value
-
-    frag_set = set(fragment)
-    pieces = []
-    for value in sorted(gens_by_value, key=element_key):
-        zone = [w for w in fragment if value_of.get(w) == value]
-        seen = set()
-        for w in zone:
-            # a piece is maximal in its zone and the first of its class there
-            if not any(
-                v != w and value_of.get(v) == value and (v not in basis.below(w) or v in seen)
-                for v in basis.up(w)
-                if v in frag_set
-            ):
-                pieces.append((w, value))
-            seen.add(w)
-    return NatSection(root, tuple(sorted(pieces, key=_piece_key)))
+                zone.add(w)
+    return _from_zones(basis, root, zones)
 
 
 def value_at(space: FormalSpace, section: NatSection, x):
     """The section's constant value near ``x``, or None if x straddles zones."""
     space.basis.require(x)
     for elem, val in section.pieces:
-        if space.basis.leq(x, elem):
+        if x in space.basis.below(elem):
             return val
     return None
 
 
 def restrict_section(space: FormalSpace, section: NatSection, b) -> NatSection:
+    """The section cut down to ``b``, with no cover test.
+
+    Each value's zone, the union of its pieces' down-sets, meets the down-set
+    of ``b`` in a set that is cover-closed by transitivity: the new zone.
+    """
     basis = space.basis
-    basis.require(b)
-    if not basis.leq(b, section.root):
+    below_b = basis.below(b)
+    if b not in basis.below(section.root):
         raise ValueError(f"{b!r} is not below the section root {section.root!r}")
-    assignments = [
-        (x, val)
-        for elem, val in section.pieces
-        for x in basis.down(b)
-        if basis.leq(x, elem)
-    ]
-    return make_section(space, b, assignments)
+    zones: dict = {}
+    for elem, val in section.pieces:
+        part = basis.below(elem) & below_b
+        if part:
+            zones[val] = zones.get(val, frozenset()) | part
+    return _from_zones(basis, b, zones)
 
 
 class ConstantPresheaf:
@@ -317,22 +339,19 @@ def _check_family(presheaf, a, fam, separation_failures, glue_failures, max_fail
     for group in fingerprints.values():
         for t in group[1:]:
             separation_failures.append((a, fam, group[0], t))
+    # the opens below both members of each pair, in the order of down(x)
+    overlaps = []
+    for i, x in enumerate(fam):
+        for j in range(i + 1, len(fam)):
+            common = basis.below(x) & basis.below(fam[j])
+            overlaps.append((i, j, [z for z in basis.down(x) if z in common]))
     locals_per_member = [presheaf.sections(x) for x in fam]
     for combo in itertools.product(*locals_per_member):
-        compatible = True
-        for i, x in enumerate(fam):
-            for j in range(i + 1, len(fam)):
-                y = fam[j]
-                for z in basis.down(x):
-                    if basis.leq(z, y):
-                        if presheaf.restrict(combo[i], z) != presheaf.restrict(combo[j], z):
-                            compatible = False
-                            break
-                if not compatible:
-                    break
-            if not compatible:
-                break
-        if not compatible:
+        if any(
+            presheaf.restrict(combo[i], z) != presheaf.restrict(combo[j], z)
+            for i, j, common in overlaps
+            for z in common
+        ):
             continue
         glued = fingerprints.get(combo, ())
         if len(glued) != 1:

@@ -1,5 +1,6 @@
 """Forcing semantics: clause behaviour, atom laws, and CC-space machinery."""
 import random
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -32,7 +33,7 @@ from sheafbench.forcing import (
 from sheafbench.formulas import Lit, Name, Sum, parse_formula
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_formula
-from sheafbench.sheaves import NatSection, nat_sheaf
+from sheafbench.sheaves import NatSection, nat_sheaf, space_atoms
 from sheafbench.site import (
     Basis,
     CoveringSystem,
@@ -292,6 +293,28 @@ def test_cc_refine_on_doubles_lifts_inner_refinement():
     q = dbl.points[0]
     anchored = dbl.singleton(q)
     assert cc_refine(dbl, anchored, Sieve.maximal(basis, anchored)) == (anchored,)
+
+
+@lru_cache(maxsize=None)
+def _refine_space(kind):
+    return {"cantor": cantor_space, "baire": lambda d: baire_space(3, d), "double": _double}[kind](3)
+
+
+@given(st.data(), st.sampled_from(("cantor", "baire", "double")))
+def test_cc_refine_output_is_disjoint_and_covering(data, kind):
+    # a random covering sieve: random opens below a, then the finest opens
+    # below a that they leave out, which cover what is left
+    space = _refine_space(kind)
+    basis = space.basis
+    a = data.draw(st.sampled_from(basis.elements))
+    picked = data.draw(st.sets(st.sampled_from(basis.down(a)), max_size=4))
+    members = Sieve.from_generators(basis, a, picked).members
+    sieve = Sieve.from_generators(
+        basis, a, picked | {t for t in space_atoms(space)(a) if t not in members})
+    pieces = cc_refine(space, a, sieve)
+    assert all(sieve.contains(x) for x in pieces)
+    assert all(basis.disjoint(x, y) for i, x in enumerate(pieces) for y in pieces[i + 1:])
+    assert space.topology.cover(a, Sieve.from_generators(basis, a, pieces)).covered
 
 
 def test_cc_refine_generic_search_and_no_refinement():

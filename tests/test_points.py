@@ -1,8 +1,11 @@
 from functools import lru_cache
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from point_oracle import scan_generic, scan_observation, scan_through
+from sheafbench.double import build_double
+from sheafbench.jsonio import space_from_json
 from sheafbench.maps import check_continuous_map, point_as_map
 from sheafbench.points import (
     Point,
@@ -76,6 +79,18 @@ def test_streams_outside_the_branching_fail_the_point_checks():
     for stream in (Point((2,), 0), Point((0,), 3)):
         assert is_point(space, stream).failed_condition == 3
         assert not check_continuous_map(point_as_map(space, stream)).ok
+
+
+def test_a_stream_on_a_space_that_is_no_tree_is_a_type_error():
+    # a stream names a point through its prefixes, which only a tree space has
+    space = space_from_json({"kind": "finite", "elements": ["a", "b"], "leq": [["b", "a"]]})
+    dbl = build_double(cantor_space(1), eventually_constant_points(2, 0))
+    for target in (space, dbl):
+        with pytest.raises(TypeError, match="tree space"):
+            is_point(target, Point((), 0))
+        with pytest.raises(TypeError, match="tree space"):
+            point_as_map(target, Point((), 0))
+    assert is_point(space, {"a"}).ok
 
 
 def test_is_point_rejects_two_branch_subset():

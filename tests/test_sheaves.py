@@ -1,5 +1,10 @@
-import pytest
+import functools
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from section_oracle import restrict_by_covers
 from sheafbench import sheaves
 from sheafbench.double import build_double
 from sheafbench.points import Point, eventually_constant_points
@@ -23,9 +28,10 @@ from sheafbench.sheaves import (
     stream_sheaf,
     value_at,
 )
-from sheafbench.site import Basis, CoveringSystem, FormalSpace, generate_topology
+from sheafbench.randomgen import random_covering_system, random_preorder
+from sheafbench.site import Basis, CoveringSystem, FormalSpace, GeneratedTopology, generate_topology
 from sheafbench.spaces import all_sequences, baire_space, cantor_space
-from sheafbench.suites import sheaf_suite
+from sheafbench.suites import _standard_spaces, sheaf_suite
 
 
 def _leaf_section(space, leaf_values):
@@ -296,3 +302,107 @@ def test_sheaf_suite_checks_positivity_once_per_space(monkeypatch):
     monkeypatch.setattr(sheaves, "require_positive", counted)
     assert sheaf_suite(depth=1, budget=4).passed
     assert len(calls) == len({id(space) for space in calls}) == 4
+
+
+def test_restrict_section_rejects_an_open_outside_the_root():
+    space = cantor_space(2)
+    sec = _leaf_section(space, {(0, 0): 1, (0, 1): 4, (1, 0): 2, (1, 1): 3})
+    left = restrict_section(space, sec, (0,))
+    with pytest.raises(ValueError):
+        restrict_section(space, left, (1,))
+    with pytest.raises(ValueError):
+        restrict_section(space, left, ())
+
+
+@functools.cache
+def _standard_sheaves():
+    """The six value sheaves of the sheaf suite on each depth-3 standard space."""
+    return tuple(
+        (space, presheaf)
+        for _, space in _standard_spaces(3)
+        for presheaf in (nat_sheaf(space, 2), *derived_sheaves(space).values())
+    )
+
+
+SECTION_BUDGET = 64
+
+
+@settings(max_examples=300)
+@given(st.data())
+def test_restriction_by_zones_matches_the_cover_oracle_on_the_standard_spaces(data):
+    # every section of a value sheaf over an open with at most SECTION_BUDGET
+    # sections, cut down to an open below it
+    space, presheaf = data.draw(st.sampled_from(_standard_sheaves()))
+    roots = [a for a in space.basis.elements if presheaf.section_count(a) <= SECTION_BUDGET]
+    a = data.draw(st.sampled_from(roots))
+    b = data.draw(st.sampled_from(space.basis.down(a)))
+    for section in presheaf.sections(a):
+        assert restrict_section(space, section, b) == restrict_by_covers(space, section, b)
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.data())
+def test_restriction_by_zones_matches_the_cover_oracle_on_random_preorders(seed, size, data):
+    # random covering systems on random preorders, which have equivalent
+    # elements; spaces with an empty cover and assignments that are no
+    # section are skipped; most opens are left unassigned, since two opens,
+    # one below the other, with different values make their zones overlap
+    rng = random.Random(seed)
+    basis = random_preorder(rng, size)
+    system = random_covering_system(rng, basis)
+    space = FormalSpace(basis, GeneratedTopology(system), system)
+    try:
+        sheaves.require_positive(space)
+    except EmptyCoverPresent:
+        return
+    root = data.draw(st.sampled_from(basis.elements))
+    fragment = basis.down(root)
+    values = data.draw(st.lists(st.sampled_from((None, None, None, 0, 1, 2)),
+                                min_size=len(fragment), max_size=len(fragment)))
+    assignment = [(x, v) for x, v in zip(fragment, values) if v is not None]
+    try:
+        section = make_section(space, root, assignment)
+    except (NotASection, IncompatibleAssignment):
+        return
+    for b in fragment:
+        assert restrict_section(space, section, b) == restrict_by_covers(space, section, b)
+
+
+def test_the_sheaf_layer_never_asks_the_order_pairwise(monkeypatch):
+    # restriction intersects zones: no leq question anywhere in sheaf_check,
+    # and no make_section, so no cover test, inside restrict_section
+    leq_calls = []
+    made_inside = []
+    restricting = []
+    restricted = []
+    leq = Basis.leq
+    make = sheaves.make_section
+    restrict = sheaves.restrict_section
+
+    def counted_leq(self, a, b):
+        leq_calls.append((a, b))
+        return leq(self, a, b)
+
+    def counted_make(space, root, assignments):
+        if restricting:
+            made_inside.append(root)
+        return make(space, root, assignments)
+
+    def counted_restrict(space, section, b):
+        restricted.append(b)
+        restricting.append(b)
+        try:
+            return restrict(space, section, b)
+        finally:
+            restricting.pop()
+
+    monkeypatch.setattr(Basis, "leq", counted_leq)
+    monkeypatch.setattr(sheaves, "make_section", counted_make)
+    monkeypatch.setattr(sheaves, "restrict_section", counted_restrict)
+    for _, space in _standard_spaces(3):
+        # a fresh sheaf: a filled restriction cache would hide the calls
+        presheaf = nat_sheaf(space, 2)
+        elems = [a for a in space.basis.elements if presheaf.section_count(a) <= 16]
+        assert sheaf_check(presheaf, elements=elems, sieve_cap=8).ok
+    assert restricted
+    assert (len(leq_calls), len(made_inside)) == (0, 0)
