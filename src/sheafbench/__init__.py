@@ -12,10 +12,9 @@ from .brouwer import (
     bo_sheaf_checks,
     enumerate_trees,
     k_map,
-    sup,
     tree_equiv,
 )
-from .double import DOpen, DoubleSpace, SingletonOpen, build_double, canonical_maps
+from .double import DOpen, DoubleSpace, SingletonOpen, build_double
 from .forcing import (
     FuelExhausted,
     cc_refine,
@@ -25,8 +24,8 @@ from .forcing import (
     standard_model,
 )
 from .formulas import parse_formula
-from .maps import ContinuousMap, check_continuous_map, compose_maps, identity_map, one_point_space
-from .points import Point, eventually_constant_points, is_point, pt_space
+from .maps import ContinuousMap, check_continuous_map, one_point_space
+from .points import Point, eventually_constant_points
 from .rules import bar_rule, continuity_rule, fan_rule, recheck_transcript
 from .sheaves import (
     derived_sheaves,
@@ -34,7 +33,6 @@ from .sheaves import (
     pure_density_check,
     section_map_bijection_check,
     sheaf_check,
-    sheaf_check_covering_system,
 )
 from .site import (
     Basis,
@@ -80,36 +78,29 @@ __all__ = [
     "bar_rule",
     "bo_sheaf_checks",
     "build_double",
-    "canonical_maps",
     "cantor_space",
     "cc_refine",
     "check_continuous_map",
     "check_topology_axioms",
     "choice_amalgamation",
     "classical_truth",
-    "compose_maps",
     "continuity_rule",
     "derived_sheaves",
     "enumerate_trees",
     "eventually_constant_points",
     "fan_rule",
     "force",
-    "identity_map",
     "inductive_close",
-    "is_point",
     "k_map",
     "kfinite_subcover",
     "nat_sheaf",
     "one_point_space",
     "parse_formula",
-    "pt_space",
     "pure_density_check",
     "recheck_transcript",
     "section_map_bijection_check",
     "set_compactness_witness",
     "sheaf_check",
-    "sheaf_check_covering_system",
     "standard_model",
-    "sup",
     "tree_equiv",
 ]

@@ -48,13 +48,6 @@ class BrouwerTree:
 LEAF = BrouwerTree()
 
 
-def sup(children: Iterable[BrouwerTree]) -> BrouwerTree:
-    got = tuple(children)
-    if not got:
-        raise ValueError("a sup node needs at least one subtree")
-    return BrouwerTree(got)
-
-
 def k_map(tree: BrouwerTree, branch: int) -> frozenset:
     """Generator set of the basic cover a tree denotes.
 

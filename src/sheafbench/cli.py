@@ -20,6 +20,17 @@ from .suites import CHECK_SUITES
 SUITE_NAMES = tuple(CHECK_SUITES)
 
 
+def _size(text: str) -> int:
+    """An integer of at least 1: a count of samples or of naturals."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sheafbench",
@@ -34,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
     force_p.add_argument("--at", help="stage, e.g. 'D(0,1)', '{0|1}', '(0,1)' (default: root)")
     force_p.add_argument("--bar", help="bar description (JSON file) backing InBar")
     force_p.add_argument("--fuel", type=int, help="evaluation budget")
-    force_p.add_argument("--nmax", type=int, default=8, help="size of the Nat sort")
+    force_p.add_argument("--nmax", type=_size, default=8, help="size of the Nat sort")
     force_p.add_argument("--out", help="write the JSON report here")
 
     fan_p = sub.add_parser("fan", help="uniform depth of a monotone bar")
@@ -58,7 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     check_p = sub.add_parser("check", help="run a self-check suite")
     check_p.add_argument("suite", choices=SUITE_NAMES)
     check_p.add_argument("--seed", type=int, default=0, help="suite randomness seed")
-    check_p.add_argument("--samples", type=int, default=200, help="sample count")
+    check_p.add_argument("--samples", type=_size, default=200, help="sample count")
     check_p.add_argument("--out", help="write the JSON report here")
 
     return parser

@@ -6,8 +6,7 @@ passes through v, which the point index (:func:`points.incidence`, read off
 each point's prefix chain) answers, so the down-set of D(u) is the copy of
 the inner down-set of u plus the opens of the points the index lists at u.
 Covers of D(u) are inherited from the inner space (with the matching point
-opens added to each family), and each {q} is covered only by itself.  Three
-canonical maps connect the double with its ingredients.
+opens added to each family), and each {q} is covered only by itself.
 """
 from __future__ import annotations
 
@@ -22,8 +21,7 @@ from .site import (
     Sieve,
     Topology,
 )
-from .points import Point, incidence, point_members
-from .maps import ContinuousMap, discrete_space
+from .points import Point, incidence
 from .spaces import TruncatedSpace
 
 
@@ -145,41 +143,3 @@ def build_double(inner: TruncatedSpace, points: Iterable[Point]) -> DoubleSpace:
     system = CoveringSystem(basis, table)
     topology = DoubleTopology(basis, inner)
     return DoubleSpace(basis, topology, system, inner=inner, points=pts)
-
-
-@dataclass(frozen=True)
-class CanonicalMaps:
-    mu: ContinuousMap    # inner -> double, u |-> D(u)
-    pi: ContinuousMap    # double -> inner, collapse D and points alike
-    nu: ContinuousMap    # discrete point set -> double, q |-> {q}
-    point_source: FormalSpace
-
-
-def canonical_maps(double: DoubleSpace) -> CanonicalMaps:
-    inner = double.inner
-    mu_pairs = {
-        (u, DOpen(v))
-        for u in inner.basis.elements
-        for v in inner.basis.up(u)
-    }
-    mu = ContinuousMap(inner, double, frozenset(mu_pairs))
-
-    pi_pairs = {
-        (DOpen(v), u)
-        for v in inner.basis.elements
-        for u in inner.basis.up(v)
-    } | {
-        (SingletonOpen(q), u)
-        for q in double.points
-        for u in point_members(inner, q)
-    }
-    pi = ContinuousMap(double, inner, frozenset(pi_pairs))
-
-    point_source = discrete_space(double.points)
-    nu_pairs = {(q, double.singleton(q)) for q in double.points} | {
-        (q, DOpen(u))
-        for q in double.points
-        for u in point_members(inner, q)
-    }
-    nu = ContinuousMap(point_source, double, frozenset(nu_pairs))
-    return CanonicalMaps(mu, pi, nu, point_source)

@@ -9,8 +9,10 @@ the preimage of q".  Five conditions make such a relation continuous:
   4. preimages of covers cover;
   5. preimages of single basic opens are closed for the source topology.
 
-Constructors saturate a seed relation under (1) and (5), which never changes
-the induced map and makes checking the remaining conditions meaningful.
+The package builds one kind of map, a section read as a map into the
+discrete space of its values (``sheaves.section_to_map``).  Saturation,
+identity, composition and the action on points are constructions only the
+tests use; they live in ``tests/map_oracle.py``.
 """
 from __future__ import annotations
 
@@ -18,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Iterable
 
 from .site import Basis, FormalSpace, GeneratedTopology, CoveringSystem, Sieve, element_key
-from .points import member_set
 
 
 def _pair_key(pair):
@@ -34,18 +35,6 @@ class ContinuousMap:
 
     _images: dict = field(default_factory=dict, compare=False, repr=False)
     _fibers: dict = field(default_factory=dict, compare=False, repr=False)
-
-    @staticmethod
-    def from_pairs(
-        source: FormalSpace, target: FormalSpace, pairs: Iterable[tuple]
-    ) -> "ContinuousMap":
-        """The map a seed relation induces, saturated to canonical form."""
-        seed = set()
-        for p, q in pairs:
-            source.basis.require(p)
-            target.basis.require(q)
-            seed.add((p, q))
-        return ContinuousMap(source, target, frozenset(_saturate(source, target, seed)))
 
     def related(self, p, q) -> bool:
         return (p, q) in self.pairs
@@ -70,32 +59,6 @@ class ContinuousMap:
 
     def sorted_pairs(self) -> tuple:
         return tuple(sorted(self.pairs, key=_pair_key))
-
-
-def _saturate(source: FormalSpace, target: FormalSpace, seed: set) -> set:
-    """Close a seed relation under order compatibility and fiber closure."""
-    pairs = set(seed)
-    while True:
-        pairs = {
-            (p2, q2)
-            for (p, q) in pairs
-            for p2 in source.basis.down(p)
-            for q2 in target.basis.up(q)
-        }
-        grew = False
-        for q in target.basis.elements:
-            fiber = {p for (p, y) in pairs if y == q}
-            if not fiber:
-                continue
-            for a in source.basis.elements:
-                if a in fiber:
-                    continue
-                below = Sieve.from_generators(source.basis, a, fiber)
-                if source.topology.cover(a, below).covered:
-                    pairs.add((a, q))
-                    grew = True
-        if not grew:
-            return pairs
 
 
 @dataclass(frozen=True)
@@ -178,29 +141,6 @@ def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck
     return MapCheck(not failures, tuple(failures))
 
 
-def identity_map(space: FormalSpace) -> ContinuousMap:
-    """p related to q exactly when the part of p under q covers p."""
-    pairs = set()
-    whole = {q: Sieve.maximal(space.basis, q) for q in space.basis.elements}
-    for p in space.basis.elements:
-        for q in space.basis.elements:
-            if space.topology.cover(p, whole[q].restrict(p)).covered:
-                pairs.add((p, q))
-    return ContinuousMap(space, space, frozenset(pairs))
-
-
-def compose_maps(f: ContinuousMap, g: ContinuousMap) -> ContinuousMap:
-    """Relational composite of f then g, saturated back to canonical form."""
-    if f.target.basis.elements != g.source.basis.elements:
-        raise ValueError("composition needs matching middle bases")
-    seed = {
-        (p, r)
-        for (p, q) in f.pairs
-        for r in g.image(q)
-    }
-    return ContinuousMap.from_pairs(f.source, g.target, seed)
-
-
 def discrete_space(labels: Iterable) -> FormalSpace:
     """Flat space: order is equality and a sieve covers iff it contains."""
     basis = Basis({a: (a,) for a in labels})
@@ -213,27 +153,3 @@ STAR = "*"
 
 def one_point_space() -> FormalSpace:
     return discrete_space((STAR,))
-
-
-def point_as_map(space: FormalSpace, subject) -> ContinuousMap:
-    """A candidate point packaged as a map from the one-point space.
-
-    The subject is taken literally (saturation cannot repair it), so the
-    continuity check fails exactly when pointhood does.
-    """
-    one = one_point_space()
-    pairs = frozenset((STAR, u) for u in member_set(space, subject))
-    return ContinuousMap(one, space, pairs)
-
-
-def pt_functor(fmap: ContinuousMap, point_sets: Iterable[frozenset]) -> dict:
-    """Image of each point (given by its member set) under the map."""
-    out = {}
-    for alpha in point_sets:
-        members = frozenset(alpha)
-        image = frozenset(
-            q for q in fmap.target.basis.elements
-            if any(fmap.related(p, q) for p in members)
-        )
-        out[members] = image
-    return out

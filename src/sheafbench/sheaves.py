@@ -299,26 +299,34 @@ class SheafReport:
 
 
 def _law_failures(presheaf: ConstantPresheaf, elems, max_failures: int):
+    """Identity and composition for every section, stopping at ``max_failures``.
+
+    Each section's direct restrictions are read once; composition compares
+    the restriction of ``s|b`` to ``c`` with the direct ``s|c``.
+    """
     basis = presheaf.space.basis
     failures = []
     checked = 0
     for a in elems:
         for s in presheaf.sections(a):
-            if presheaf.restrict(s, a) != s:
-                failures.append(("identity", a, s))
+            direct = {b: presheaf.restrict(s, b) for b in basis.down(a)}
             checked += 1
+            if direct[a] != s:
+                failures.append(("identity", a, s))
+                if len(failures) >= max_failures:
+                    return failures, checked
             for b in basis.down(a):
                 if b == a:
                     continue
-                sb = presheaf.restrict(s, b)
+                sb = direct[b]
                 for c in basis.down(b):
                     if c == b:
                         continue
                     checked += 1
-                    if presheaf.restrict(sb, c) != presheaf.restrict(s, c):
+                    if presheaf.restrict(sb, c) != direct[c]:
                         failures.append(("composition", (a, b, c), s))
                         if len(failures) >= max_failures:
-                            break
+                            return failures, checked
     return failures, checked
 
 
@@ -361,7 +369,32 @@ def _check_family(presheaf, a, fam, separation_failures, glue_failures, max_fail
     return True
 
 
-def _run_family_check(presheaf, elems, families_at, max_failures) -> SheafReport:
+def sheaf_check(
+    presheaf: ConstantPresheaf,
+    elements: Iterable | None = None,
+    max_failures: int = 4,
+    sieve_cap: int = 64,
+) -> SheafReport:
+    """Presheaf laws, separation, and unique amalgamation over sampled covers.
+
+    Families come from the covering system's own families when present,
+    first, and then the generators of up to ``sieve_cap`` sampled covering
+    sieves on each element.  The generated topology makes the system's
+    families sufficient, so ``sieve_cap=0`` checks them alone.
+    """
+    space = presheaf.space
+    elems = tuple(elements) if elements is not None else space.basis.elements
+
+    def families_at(a):
+        seen = dict()
+        if space.system is not None:
+            for fam in space.system.families_at(a):
+                seen.setdefault(fam, None)
+        for s in sieves_on(space.basis, a, cap=sieve_cap):
+            if space.topology.cover(a, s).covered:
+                seen.setdefault(s.generators, None)
+        return list(seen)
+
     law_failures, checked_laws = _law_failures(presheaf, elems, max_failures)
     separation_failures: list = []
     glue_failures: list = []
@@ -379,57 +412,6 @@ def _run_family_check(presheaf, elems, families_at, max_failures) -> SheafReport
         checked_laws,
         checked_families,
     )
-
-
-def sheaf_check(
-    presheaf: ConstantPresheaf,
-    elements: Iterable | None = None,
-    max_failures: int = 4,
-    sieve_cap: int = 64,
-) -> SheafReport:
-    """Presheaf laws, separation, and unique amalgamation over sampled covers.
-
-    Families come from the generators of sampled covering sieves on each
-    element, together with the covering system's own families when present.
-    """
-    space = presheaf.space
-    elems = tuple(elements) if elements is not None else space.basis.elements
-
-    def families_at(a):
-        seen = dict()
-        if space.system is not None:
-            for fam in space.system.families_at(a):
-                seen.setdefault(fam, None)
-        for s in sieves_on(space.basis, a, cap=sieve_cap):
-            if space.topology.cover(a, s).covered:
-                seen.setdefault(s.generators, None)
-        return list(seen)
-
-    return _run_family_check(presheaf, elems, families_at, max_failures)
-
-
-def sheaf_check_covering_system(
-    presheaf: ConstantPresheaf,
-    elements: Iterable | None = None,
-    max_failures: int = 4,
-) -> SheafReport:
-    """The sheaf axiom checked only on the covering system's families.
-
-    The generated topology makes this sufficient; as a guard the full check
-    is re-run on the first element and must agree on the verdict.
-    """
-    space = presheaf.space
-    if space.system is None:
-        raise ValueError("the space carries no covering system")
-    elems = tuple(elements) if elements is not None else space.basis.elements
-
-    report = _run_family_check(
-        presheaf, elems, space.system.families_at, max_failures
-    )
-    full = sheaf_check(presheaf, elements=elems[:1], max_failures=max_failures)
-    if report.ok and not full.ok:
-        raise AssertionError("covering-system check passed where the full check fails")
-    return report
 
 
 @dataclass(frozen=True)

@@ -4,6 +4,7 @@ import pytest
 from sheafbench.brouwer import (
     LEAF,
     AltBaireReport,
+    BrouwerTree,
     NotBelowRoot,
     alt_baire_equiv_check,
     bo_sheaf_checks,
@@ -15,7 +16,6 @@ from sheafbench.brouwer import (
     k_map,
     labelled_tree,
     restrict_tree,
-    sup,
     sup_at,
     sup_star,
     tree_cover_test,
@@ -26,6 +26,11 @@ from sheafbench.maps import STAR, one_point_space
 from sheafbench.points import eventually_constant_points
 from sheafbench.site import Sieve
 from sheafbench.spaces import baire_space, cantor_space
+
+
+def sup(children) -> BrouwerTree:
+    """The node with the given subtrees, one per branch."""
+    return BrouwerTree(tuple(children))
 
 
 def _pair(space, branch=2):

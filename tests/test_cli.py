@@ -184,6 +184,24 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys):
         main(["check", "not-a-suite"])
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "topology", "--samples", "0"],
+    ["check", "topology", "--samples", "-1"],
+    ["check", "topology", "--samples", "many"],
+    ["force", "--space", "space.json", "--formula", "f.txt", "--nmax", "0"],
+    ["force", "--space", "space.json", "--formula", "f.txt", "--nmax", "-2"],
+], ids=["zero-samples", "negative-samples", "word-samples", "zero-nmax", "negative-nmax"])
+def test_sizes_below_one_exit_2(argv, capsys):
+    # zero samples would print checked=0 ... PASS, and a negative nmax
+    # would force over an empty Nat sort
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "--samples" in err or "--nmax" in err
+    assert "Traceback" not in err
+
+
 _BAIRE = {"kind": "baire", "branch": 2, "depth": 2}
 _POINT = {"prefix": [], "tail": 0}
 

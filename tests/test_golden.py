@@ -3,8 +3,7 @@
 The CLI digests pin the exact bytes the command line writes, so a refactor
 that changes any verdict, witness, transcript or rendering shows up here.
 Reports embed their input paths, so every run happens inside a temporary
-directory with relative paths.  ``check sheaves`` (about a minute) is left
-out.  The generator digests pin what each seeded generator draws, since
+directory with relative paths.  The generator digests pin what each seeded generator draws, since
 the suites and the benchmark corpus are built from those draws.  The
 forcing digest pins the step count of every forcing run, so the memo keys,
 and with them fuel, cannot move.
@@ -115,6 +114,11 @@ GOLDEN = {
         ["check", "brouwer"], 0,
         "8dc37a5867e5d035286e7be4e3940f42597db25ae8008b10049a19a28b8c398a",
         "18959041f781f5ccac8fd9f07bc4db8150308b1cdb405503f9ee97d11b4bab9b",
+    ),
+    "check-sheaves": (
+        ["check", "sheaves"], 0,
+        "5567edf266df0f72109aca748b751a35447d99f822529acb0593fd2433bb41c0",
+        "b4c6d2e3b2e17bd4716fb55050ad5269bdde236300dd4ac5557533bd879dd8be",
     ),
     # Cantor depth 4: identity and shift do not conclude (NotUnique, NotForced)
     # because some stages of the double have no point of the model through

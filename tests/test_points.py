@@ -3,20 +3,25 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from point_oracle import scan_generic, scan_observation, scan_through
+from map_oracle import point_as_map
+from point_oracle import (
+    enough_points_check,
+    ext_map,
+    is_point,
+    pt_space,
+    scan_generic,
+    scan_observation,
+    scan_through,
+)
 from sheafbench.double import build_double
 from sheafbench.jsonio import space_from_json
-from sheafbench.maps import check_continuous_map, point_as_map
+from sheafbench.maps import check_continuous_map
 from sheafbench.points import (
     Point,
-    enough_points_check,
     eventually_constant_points,
-    ext_map,
     incidence,
-    is_point,
     point_members,
     prefix_chain,
-    pt_space,
 )
 from sheafbench.site import Sieve
 from sheafbench.spaces import all_sequences, baire_space, cantor_space

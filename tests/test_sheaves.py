@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import random
 
@@ -5,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from section_oracle import restrict_by_covers
-from sheafbench import sheaves
+from sheafbench import sheaves, suites
 from sheafbench.double import build_double
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.sheaves import (
@@ -24,7 +25,6 @@ from sheafbench.sheaves import (
     section_map_bijection_check,
     section_to_map,
     sheaf_check,
-    sheaf_check_covering_system,
     stream_sheaf,
     value_at,
 )
@@ -241,13 +241,19 @@ def test_seq2_global_section_is_the_projection_graph():
     assert value_at(dbl, graph, dbl.d((0, 0))) == obs_class((0, 0))
 
 
-def test_sheaf_check_covering_system_matches_full_check():
-    space = cantor_space(2)
-    sheaf = nat_sheaf(space, 2)
-    c_report = sheaf_check_covering_system(sheaf)
-    full = sheaf_check(sheaf)
-    assert c_report.ok and full.ok
-    assert c_report.checked_families <= full.checked_families
+def test_covering_system_families_alone_match_the_full_check():
+    # sieve_cap=0 checks the covering system's families alone, which the
+    # generated topology makes sufficient: the verdict agrees with the full check
+    for _, space in _standard_spaces(2):
+        sheaves_here = {"nat": nat_sheaf(space, 2), **derived_sheaves(space)}
+        for presheaf in sheaves_here.values():
+            elems = [a for a in space.basis.elements if presheaf.section_count(a) <= 64]
+            c_report = sheaf_check(presheaf, elements=elems, sieve_cap=0)
+            full = sheaf_check(presheaf, elements=elems)
+            assert c_report.ok and full.ok
+            assert c_report.checked_families == sum(
+                len(space.system.families_at(a)) for a in elems)
+            assert c_report.checked_families <= full.checked_families
 
 
 def test_failing_presheaf_fails_on_c_families_too():
@@ -255,7 +261,45 @@ def test_failing_presheaf_fails_on_c_families_too():
     space = cantor_space(1)
     rigid = ConstantPresheaf(space, (0, 1), lambda a: (a,), label="rigid")
     assert not sheaf_check(rigid).ok
-    assert not sheaf_check_covering_system(rigid).ok
+    assert not sheaf_check(rigid, sieve_cap=0).ok
+
+
+class _MisRestricted(ConstantPresheaf):
+    """Every proper restriction is a fresh section remembering its source."""
+
+    def restrict(self, section, b):
+        return section if b == section.root else NatSection(b, (("from", section),))
+
+
+def test_the_law_pass_stops_at_max_failures():
+    space = cantor_space(3)
+    presheaf = _MisRestricted(space, (0, 1), space.leaves)
+    capped = sheaf_check(presheaf, elements=((),), max_failures=1, sieve_cap=0)
+    assert [kind for kind, *_ in capped.law_failures] == ["composition"]
+    assert len(sheaf_check(presheaf, elements=((),), max_failures=5).law_failures) == 5
+    assert len(sheaf_check(presheaf, elements=((),), max_failures=10**6).law_failures) > 5
+
+
+@pytest.mark.parametrize("on_system", [True, False], ids=["system-family", "sampled-family"])
+def test_sheaf_suite_witness_says_whether_a_system_family_failed(monkeypatch, on_system):
+    # one report carries both verdicts: the system's families fail only when
+    # a failure sits on one of them
+    space = cantor_space(2)
+    fam = ((0,), (1,)) if on_system else ((0,), (1, 0), (1, 1))
+    assert (fam in space.system.families_at(())) == on_system
+    check = suites.sheaf_check
+
+    def one_glue_failure(presheaf, elements, sieve_cap):
+        report = check(presheaf, elements=elements, sieve_cap=sieve_cap)
+        return dataclasses.replace(report, glue_failures=(((), fam, (), 0),))
+
+    monkeypatch.setattr(suites, "_standard_spaces", lambda depth: (("cantor", space),))
+    monkeypatch.setattr(suites, "sheaf_check", one_glue_failure)
+    result = sheaf_suite()
+    assert not result.passed
+    verdicts = [w for w in result.witnesses if "system_ok" in w]
+    assert len(verdicts) == 6
+    assert {(w["sampled_ok"], w["system_ok"]) for w in verdicts} == {(False, not on_system)}
 
 
 def test_pure_density_contract_rejects_stream_sheaves():

@@ -120,21 +120,6 @@ def test_every_package_name_and_keyword_the_benchmark_uses_exists():
     assert problems == []
 
 
-# public names kept for the tests to check the paper's constructions against,
-# though nothing in the package or the benchmark calls them
-TEST_REFERENCES = {
-    "identity_map": "the unit law of map composition in the map tests",
-    "compose_maps": "the composites of the double's canonical maps",
-    "point_as_map": "a point read as a map from the one-point space",
-    "pt_functor": "the action of maps on points, checked on the canonical maps",
-    "canonical_maps": "the three maps joining a double with its ingredients",
-    "pt_space": "the spatial reflection of a tree space over a point family",
-    "enough_points_check": "formal covers against spatial covers over a point family",
-    "sup": "the node constructor of Brouwer trees, used to build the trees k_map reads",
-    "is_point": "the oracle of the lemma that every stream inside the branching is a point",
-}
-
-
 def _uses(path: pathlib.Path) -> list:
     """``(name, top-level definition it sits in or None)`` for every name read."""
     found = []
@@ -165,7 +150,21 @@ def test_every_public_name_has_a_caller_outside_the_tests():
             for path, found in uses.items() for used, owner in found
         )
     )
-    assert uncalled == sorted(TEST_REFERENCES)
+    assert uncalled == []
+
+
+def test_all_lists_exactly_the_names_the_package_imports():
+    # a name removed from a module but left in __all__ would break
+    # "from sheafbench import *" without failing any other test
+    imported = {
+        alias.asname or alias.name
+        for node in _tree(PACKAGE / "__init__.py").body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert [name for name in sheafbench.__all__ if not hasattr(sheafbench, name)] == []
+    assert sorted(sheafbench.__all__) == sorted(imported)
+    assert len(set(sheafbench.__all__)) == len(sheafbench.__all__)
 
 
 # (module, top-level definition) allowed to ask a point for one prefix, and why
