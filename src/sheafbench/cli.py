@@ -20,15 +20,23 @@ from .suites import CHECK_SUITES
 SUITE_NAMES = tuple(CHECK_SUITES)
 
 
-def _size(text: str) -> int:
-    """An integer of at least 1: a count of samples or of naturals."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
-    return value
+def _at_least(least: int):
+    """An argument type: an integer of at least ``least``."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+    return parse
+
+
+# a count of samples or of naturals
+_size = _at_least(1)
+# a budget of forcing steps: with 0 the first step runs out of fuel
+_fuel = _at_least(0)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,26 +52,26 @@ def build_parser() -> argparse.ArgumentParser:
     force_p.add_argument("--formula", required=True, help="file holding one formula")
     force_p.add_argument("--at", help="stage, e.g. 'D(0,1)', '{0|1}', '(0,1)' (default: root)")
     force_p.add_argument("--bar", help="bar description (JSON file) backing InBar")
-    force_p.add_argument("--fuel", type=int, help="evaluation budget")
+    force_p.add_argument("--fuel", type=_fuel, help="evaluation budget")
     force_p.add_argument("--nmax", type=_size, default=8, help="size of the Nat sort")
     force_p.add_argument("--out", help="write the JSON report here")
 
     fan_p = sub.add_parser("fan", help="uniform depth of a monotone bar")
     fan_p.add_argument("--bar", required=True, help="bar description (JSON file)")
     fan_p.add_argument("--depth", type=int, help="override the truncation depth")
-    fan_p.add_argument("--fuel", type=int, help="evaluation budget")
+    fan_p.add_argument("--fuel", type=_fuel, help="evaluation budget")
     fan_p.add_argument("--out", help="write the JSON report here")
 
     bar_p = sub.add_parser("bar", help="bar induction to the root")
     bar_p.add_argument("--bar", required=True, help="bar description (JSON file)")
     bar_p.add_argument("--depth", type=int, help="override the truncation depth")
-    bar_p.add_argument("--fuel", type=int, help="evaluation budget")
+    bar_p.add_argument("--fuel", type=_fuel, help="evaluation budget")
     bar_p.add_argument("--out", help="write the JSON report here")
 
     cont_p = sub.add_parser("continuity", help="choice function with a modulus")
     cont_p.add_argument("--rel", required=True, help="relation table (JSON file)")
     cont_p.add_argument("--space", help="space description overriding the table's")
-    cont_p.add_argument("--fuel", type=int, help="evaluation budget")
+    cont_p.add_argument("--fuel", type=_fuel, help="evaluation budget")
     cont_p.add_argument("--out", help="write the JSON report here")
 
     check_p = sub.add_parser("check", help="run a self-check suite")

@@ -12,6 +12,15 @@ cover test: each zone meets the down-set of ``b`` in the new zone.  That set
 is cover-closed, since what it covers the old zone covers by transitivity of
 the topology, which every ``FormalSpace`` here has.
 
+A presheaf's sections need no cover test either.  Its atoms cover the root
+``a``, so their sieve cut down to any ``w`` below ``a`` covers ``w``; call the
+atoms whose down-sets meet ``below(w)`` the reach of ``w``.  Positivity makes
+the reach non-empty.  Under an assignment of values to the atoms, ``w`` lies
+in the zone of ``v`` exactly when every atom in its reach carries ``v``: then
+the atoms carrying ``v`` cover ``w``; and if some atom in the reach carries
+another value, an open below both ``w`` and that atom would lie in two zones,
+which disjoint zones rule out.
+
 The space is assumed positive (no open is covered by the empty sieve); all
 spaces built in this package are.
 """
@@ -40,11 +49,6 @@ class EmptyCoverPresent(ValueError):
     """Some open is covered by the empty sieve, so zones cannot be disjoint."""
 
 
-def _piece_key(piece):
-    elem, value = piece
-    return (element_key(elem), element_key(value))
-
-
 @dataclass(frozen=True)
 class NatSection:
     """Locally constant section in canonical (maximal-zone) form."""
@@ -68,19 +72,21 @@ def _from_zones(basis: Basis, root, zones: Mapping) -> NatSection:
     """The section on ``root`` holding each value on its zone.
 
     Zones are down-closed and pairwise disjoint; the pieces are each zone's
-    maximal elements, the first in canonical order of each class.
+    maximal elements, the first in canonical order of each class.  One walk
+    of ``down(root)`` in canonical order finds them already sorted.
     """
+    value_of = {w: value for value, zone in zones.items() for w in zone}
     pieces = []
     seen: set = set()
-    for value, zone in zones.items():
-        for w in basis.down(root):
-            if w in zone:
-                above = zone.intersection(basis.up(w))
-                # a piece is maximal in its zone and the first of its class there
-                if above <= basis.below(w) and seen.isdisjoint(above):
-                    pieces.append((w, value))
-                seen.add(w)
-    return NatSection(root, tuple(sorted(pieces, key=_piece_key)))
+    for w in basis.down(root):
+        if w in value_of:
+            value = value_of[w]
+            above = zones[value].intersection(basis.up(w))
+            # a piece is maximal in its zone and the first of its class there
+            if above <= basis.below(w) and seen.isdisjoint(above):
+                pieces.append((w, value))
+            seen.add(w)
+    return NatSection(root, tuple(pieces))
 
 
 def make_section(space: FormalSpace, root, assignments) -> NatSection:
@@ -166,13 +172,29 @@ class ConstantPresheaf:
         self._restricts: dict = {}
 
     def sections(self, a) -> tuple:
+        """Every section over ``a``, one per assignment of values to its atoms.
+
+        Assignments run in ``itertools.product`` order.  Each open below
+        ``a`` lies in the zone of ``v`` when every atom in its reach carries
+        ``v`` (the module lemma), so no section runs a cover test.
+        """
         got = self._sections.get(a)
         if got is not None:
             return got
-        atoms = self.atoms(a)
+        basis = self.space.basis
+        atom_downs = [basis.below(t) for t in self.atoms(a)]
+        reach = [
+            (w, tuple(i for i, d in enumerate(atom_downs) if not d.isdisjoint(basis.below(w))))
+            for w in basis.down(a)
+        ]
         out = []
-        for combo in itertools.product(self.values, repeat=len(atoms)):
-            out.append(make_section(self.space, a, tuple(zip(atoms, combo))))
+        for combo in itertools.product(self.values, repeat=len(atom_downs)):
+            zones: dict = {}
+            for w, reached in reach:
+                value = combo[reached[0]]
+                if all(combo[i] == value for i in reached[1:]):
+                    zones.setdefault(value, set()).add(w)
+            out.append(_from_zones(basis, a, zones))
         got = tuple(out)
         self._sections[a] = got
         return got
@@ -219,7 +241,14 @@ def _inner_depth(space: FormalSpace) -> int:
 
 
 def require_positive(space: FormalSpace) -> None:
-    """No basic open may be covered by the empty sieve."""
+    """No basic open may be covered by the empty sieve.
+
+    Truncated spaces and their doubles are positive by construction, a lemma
+    the tests check on the shapes the package builds, so only a space from
+    outside is scanned.
+    """
+    if isinstance(space, (TruncatedSpace, DoubleSpace)):
+        return
     for a in space.basis.elements:
         if space.topology.cover(a, Sieve.empty(space.basis, a)).covered:
             raise EmptyCoverPresent(f"the empty sieve covers {a!r}")
@@ -334,33 +363,53 @@ def _check_family(presheaf, a, fam, separation_failures, glue_failures, max_fail
     """Separation and unique amalgamation for one presented covering family.
 
     Every section is fingerprinted by its tuple of restrictions to the
-    family once; separation failures are fingerprint collisions, and a
-    compatible local combination glues to exactly the sections carrying it
-    as their fingerprint.
+    family once; separation failures are fingerprint collisions.  For each
+    pair of members, the sections of each are keyed by their restrictions to
+    the opens below both, so the compatible local combinations come out
+    depth-first in ``itertools.product`` order, each member extended only
+    by sections whose keys match the earlier choices.  A compatible
+    combination glues to exactly the sections carrying it as their
+    fingerprint.
     """
     basis = presheaf.space.basis
+    restrict = presheaf.restrict
     secs = presheaf.sections(a)
     fingerprints: dict = {}
     for s in secs:
-        key = tuple(presheaf.restrict(s, x) for x in fam)
+        key = tuple(restrict(s, x) for x in fam)
         fingerprints.setdefault(key, []).append(s)
     for group in fingerprints.values():
         for t in group[1:]:
             separation_failures.append((a, fam, group[0], t))
-    # the opens below both members of each pair, in the order of down(x)
-    overlaps = []
+    members = [presheaf.sections(x) for x in fam]
+    # for each member j and each earlier member i it overlaps: the keys of
+    # i's sections, by position, and the positions of j's sections, by key
+    constraints: list = [[] for _ in fam]
     for i, x in enumerate(fam):
         for j in range(i + 1, len(fam)):
-            common = basis.below(x) & basis.below(fam[j])
-            overlaps.append((i, j, [z for z in basis.down(x) if z in common]))
-    locals_per_member = [presheaf.sections(x) for x in fam]
-    for combo in itertools.product(*locals_per_member):
-        if any(
-            presheaf.restrict(combo[i], z) != presheaf.restrict(combo[j], z)
-            for i, j, common in overlaps
-            for z in common
-        ):
-            continue
+            common = [z for z in basis.down(x) if z in basis.below(fam[j])]
+            if not common:
+                continue
+            keys_i = [tuple(restrict(s, z) for z in common) for s in members[i]]
+            by_key: dict = {}
+            for q, t in enumerate(members[j]):
+                by_key.setdefault(tuple(restrict(t, z) for z in common), set()).add(q)
+            constraints[j].append((i, keys_i, by_key))
+
+    def compatible(picked: tuple):
+        k = len(picked)
+        if k == len(fam):
+            yield picked
+            return
+        allowed = None
+        for i, keys_i, by_key in constraints[k]:
+            hit = by_key.get(keys_i[picked[i]], set())
+            allowed = hit if allowed is None else allowed & hit
+        for q in range(len(members[k])) if allowed is None else sorted(allowed):
+            yield from compatible(picked + (q,))
+
+    for picked in compatible(()):
+        combo = tuple(members[k][q] for k, q in enumerate(picked))
         glued = fingerprints.get(combo, ())
         if len(glued) != 1:
             glue_failures.append((a, fam, combo, len(glued)))

@@ -190,15 +190,25 @@ def test_unreadable_inputs_exit_2(tmp_path, capsys):
     ["check", "topology", "--samples", "many"],
     ["force", "--space", "space.json", "--formula", "f.txt", "--nmax", "0"],
     ["force", "--space", "space.json", "--formula", "f.txt", "--nmax", "-2"],
-], ids=["zero-samples", "negative-samples", "word-samples", "zero-nmax", "negative-nmax"])
+    *([*command, "--fuel", fuel] for command in (
+        ["force", "--space", "space.json", "--formula", "f.txt"],
+        ["fan", "--bar", "bar.json"],
+        ["bar", "--bar", "bar.json"],
+        ["continuity", "--rel", "rel.json"],
+    ) for fuel in ("-1", "x")),
+], ids=["zero-samples", "negative-samples", "word-samples", "zero-nmax", "negative-nmax",
+        *(f"{command}-{fuel}-fuel" for command in ("force", "fan", "bar", "continuity")
+          for fuel in ("negative", "word"))])
 def test_sizes_below_one_exit_2(argv, capsys):
-    # zero samples would print checked=0 ... PASS, and a negative nmax
-    # would force over an empty Nat sort
+    # zero samples would print checked=0 ... PASS, a negative nmax would
+    # force over an empty Nat sort, and a negative fuel would report
+    # FuelExhausted; a fuel of 0 is a budget of no steps, pinned by the
+    # bar-fuel-0 golden report
     with pytest.raises(SystemExit) as exit_info:
         main(argv)
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
-    assert "--samples" in err or "--nmax" in err
+    assert "--samples" in err or "--nmax" in err or "--fuel" in err
     assert "Traceback" not in err
 
 

@@ -1,11 +1,17 @@
 import dataclasses
 import functools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from section_oracle import restrict_by_covers
+from section_oracle import (
+    check_family_by_product,
+    from_zones_per_value,
+    restrict_by_covers,
+    sections_by_covers,
+)
 from sheafbench import sheaves, suites
 from sheafbench.double import build_double
 from sheafbench.points import Point, eventually_constant_points
@@ -25,11 +31,21 @@ from sheafbench.sheaves import (
     section_map_bijection_check,
     section_to_map,
     sheaf_check,
+    space_atoms,
     stream_sheaf,
     value_at,
 )
 from sheafbench.randomgen import random_covering_system, random_preorder
-from sheafbench.site import Basis, CoveringSystem, FormalSpace, GeneratedTopology, generate_topology
+from sheafbench.site import (
+    Basis,
+    CoveringSystem,
+    FormalSpace,
+    GeneratedTopology,
+    Sieve,
+    Topology,
+    generate_topology,
+    sieves_on,
+)
 from sheafbench.spaces import all_sequences, baire_space, cantor_space
 from sheafbench.suites import _standard_spaces, sheaf_suite
 
@@ -412,16 +428,46 @@ def test_restriction_by_zones_matches_the_cover_oracle_on_random_preorders(seed,
         assert restrict_section(space, section, b) == restrict_by_covers(space, section, b)
 
 
+def _topologies(cls=Topology):
+    """Every subclass of ``cls`` that defines its own cover test."""
+    for sub in cls.__subclasses__():
+        if "cover" in vars(sub):
+            yield sub
+        yield from _topologies(sub)
+
+
 def test_the_sheaf_layer_never_asks_the_order_pairwise(monkeypatch):
     # restriction intersects zones: no leq question anywhere in sheaf_check,
-    # and no make_section, so no cover test, inside restrict_section
+    # and no make_section, so no cover test, inside restrict_section; sections
+    # are read off atom assignments: no make_section and no cover test there
     leq_calls = []
     made_inside = []
     restricting = []
     restricted = []
+    listing = []
+    inside_sections = []
     leq = Basis.leq
     make = sheaves.make_section
     restrict = sheaves.restrict_section
+    sections = ConstantPresheaf.sections
+
+    def counted_sections(self, a):
+        listing.append(a)
+        try:
+            return sections(self, a)
+        finally:
+            listing.pop()
+
+    def counted_cover(cover):
+        def counted(self, a, sieve):
+            if listing:
+                inside_sections.append(("cover", a))
+            return cover(self, a, sieve)
+        return counted
+
+    for topology in _topologies():
+        monkeypatch.setattr(topology, "cover", counted_cover(topology.cover))
+    monkeypatch.setattr(ConstantPresheaf, "sections", counted_sections)
 
     def counted_leq(self, a, b):
         leq_calls.append((a, b))
@@ -430,6 +476,8 @@ def test_the_sheaf_layer_never_asks_the_order_pairwise(monkeypatch):
     def counted_make(space, root, assignments):
         if restricting:
             made_inside.append(root)
+        if listing:
+            inside_sections.append(("make_section", root))
         return make(space, root, assignments)
 
     def counted_restrict(space, section, b):
@@ -448,5 +496,202 @@ def test_the_sheaf_layer_never_asks_the_order_pairwise(monkeypatch):
         presheaf = nat_sheaf(space, 2)
         elems = [a for a in space.basis.elements if presheaf.section_count(a) <= 16]
         assert sheaf_check(presheaf, elements=elems, sieve_cap=8).ok
+        for other in derived_sheaves(space).values():
+            for a in space.basis.elements:
+                if other.section_count(a) <= 64:
+                    assert other.sections(a)
     assert restricted
     assert (len(leq_calls), len(made_inside)) == (0, 0)
+    assert inside_sections == []
+
+
+# (tree kind, branching, depth, prefix cap of the double's points or None)
+_POSITIVE_SHAPES = [
+    *(("cantor", 2, d, None) for d in range(9)),
+    *(("baire", b, d, None) for b in range(1, 6) for d in range(9)
+      if sum(b ** k for k in range(d + 1)) <= 400),
+    *(("cantor", 2, d, k) for d in range(5) for k in range(3)),
+    *(("baire", 3, d, k) for d in range(3) for k in range(2)),
+]
+
+
+@pytest.mark.parametrize("shape", _POSITIVE_SHAPES, ids=lambda s: "-".join(map(str, s)))
+def test_tree_spaces_and_doubles_are_positive(shape):
+    # require_positive skips these spaces: this is the lemma it relies on
+    kind, branch, depth, prefix_cap = shape
+    space = cantor_space(depth) if kind == "cantor" else baire_space(branch, depth)
+    if prefix_cap is not None:
+        space = build_double(space, eventually_constant_points(branch, prefix_cap))
+    basis = space.basis
+    assert [a for a in basis.elements
+            if space.topology.cover(a, Sieve.empty(basis, a)).covered] == []
+
+
+def test_require_positive_scans_only_spaces_from_outside(monkeypatch):
+    space = cantor_space(2)
+    scans = []
+    empty = Sieve.empty
+    monkeypatch.setattr(Sieve, "empty", staticmethod(lambda basis, a: scans.append(a) or empty(basis, a)))
+    sheaves.require_positive(space)
+    sheaves.require_positive(build_double(space, eventually_constant_points(2, 1)))
+    assert scans == []
+    # the same opens and covers, handed in as a plain space, are scanned
+    sheaves.require_positive(FormalSpace(space.basis, space.topology, space.system))
+    assert scans == list(space.basis.elements)
+
+
+@functools.cache
+def _differential_spaces():
+    """Cantor, Baire(2) and Baire(3) up to depth 3 and doubles over them."""
+    out = []
+    for depth in range(1, 4):
+        trees = (cantor_space(depth), baire_space(2, depth), baire_space(3, depth))
+        out.extend(trees)
+        out.extend(build_double(t, eventually_constant_points(t.branch, 1)) for t in trees)
+    return tuple(out)
+
+
+@functools.cache
+def _differential_sheaves(index):
+    space = _differential_spaces()[index]
+    return (nat_sheaf(space, 2), *derived_sheaves(space).values())
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_sections_match_make_section_on_every_assignment(data):
+    index = data.draw(st.integers(0, len(_differential_spaces()) - 1))
+    presheaf = data.draw(st.sampled_from(_differential_sheaves(index)))
+    basis = presheaf.space.basis
+    roots = [a for a in basis.elements if presheaf.section_count(a) <= SECTION_BUDGET]
+    a = data.draw(st.sampled_from(roots))
+    # a fresh presheaf, so the sections are built for this comparison
+    fresh = ConstantPresheaf(presheaf.space, presheaf.values, presheaf.atoms, presheaf.label)
+    assert fresh.sections(a) == sections_by_covers(presheaf, a)
+
+
+@functools.cache
+def _differential_families(index):
+    """Each open with the covering system's families and sampled covering sieves on it."""
+    space = _differential_spaces()[index]
+    out = []
+    for a in space.basis.elements:
+        families = dict.fromkeys(space.system.families_at(a))
+        for sieve in sieves_on(space.basis, a, cap=8):
+            if space.topology.cover(a, sieve).covered:
+                families.setdefault(sieve.generators)
+        out.extend((a, fam) for fam in families)
+    return tuple(out)
+
+
+def _duplicated_values(space):
+    """A broken presheaf: one value listed twice gives pairs of equal sections."""
+    return ConstantPresheaf(space, (0, 1, 0), space_atoms(space), label="twice")
+
+
+def _rigid(space):
+    """A broken presheaf: only constant sections, which cannot glue mixed covers."""
+    return ConstantPresheaf(space, (0, 1), lambda a: (a,), label="rigid")
+
+
+class _Forgetful(ConstantPresheaf):
+    """Every restriction is the zero section: all sections look alike."""
+
+    def restrict(self, section, b):
+        return NatSection(b, ((b, 0),))
+
+
+def _minimal_atoms(basis):
+    """The minimal opens below each open: atoms of a sort on any preorder."""
+    return lambda a: tuple(w for w in basis.down(a)
+                           if all(w in basis.below(u) for u in basis.below(w)))
+
+
+def _assert_family_checks_agree(presheaf, a, fam):
+    for max_failures in (1, 4):
+        got = ([], [])
+        want = ([], [])
+        got_done = sheaves._check_family(presheaf, a, fam, *got, max_failures)
+        want_done = check_family_by_product(presheaf, a, fam, *want, max_failures)
+        assert (got_done, got) == (want_done, want)
+
+
+def _within_the_product_budget(presheaf, families):
+    # the product filter's cost is the product of the members' section counts
+    return [(a, fam) for a, fam in families
+            if presheaf.section_count(a) <= SECTION_BUDGET
+            and math.prod(map(presheaf.section_count, fam)) <= 4 * SECTION_BUDGET]
+
+
+@settings(max_examples=400)
+@given(st.data())
+def test_family_check_matches_the_product_filter(data):
+    index = data.draw(st.integers(0, len(_differential_spaces()) - 1))
+    space = _differential_spaces()[index]
+    kind = data.draw(st.sampled_from(("standard", "twice", "rigid", "misrestricted", "forgetful")))
+    if kind == "standard":
+        presheaf = data.draw(st.sampled_from(_differential_sheaves(index)))
+    elif kind == "twice":
+        presheaf = _duplicated_values(space)
+    elif kind == "rigid":
+        presheaf = _rigid(space)
+    elif kind == "misrestricted":
+        presheaf = _MisRestricted(space, (0, 1), space_atoms(space))
+    else:
+        presheaf = _Forgetful(space, (0, 1), space_atoms(space))
+    candidates = _within_the_product_budget(presheaf, _differential_families(index))
+    a, fam = data.draw(st.sampled_from(candidates))
+    _assert_family_checks_agree(presheaf, a, fam)
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.booleans(), st.data())
+def test_family_check_matches_the_product_filter_on_random_preorders(seed, size, forget, data):
+    # on tree spaces and doubles no member of a family meets two earlier
+    # ones, nor meets one in part; random covering systems have both
+    rng = random.Random(seed)
+    basis = random_preorder(rng, size)
+    system = random_covering_system(rng, basis)
+    space = FormalSpace(basis, GeneratedTopology(system), system)
+    presheaf = (_Forgetful if forget else ConstantPresheaf)(space, (0, 1), _minimal_atoms(basis))
+    families = [(a, fam) for a in basis.elements for fam in system.families_at(a)]
+    families += [(a, sieve.generators) for a in basis.elements
+                 for sieve in sieves_on(basis, a, cap=8)
+                 if space.topology.cover(a, sieve).covered]
+    candidates = _within_the_product_budget(presheaf, families)
+    if candidates:
+        a, fam = data.draw(st.sampled_from(candidates))
+        _assert_family_checks_agree(presheaf, a, fam)
+
+
+def test_family_check_differential_reaches_both_failure_kinds():
+    # the broken presheaves above fail in both ways, several times per family
+    space = cantor_space(2)
+    fam = ((0,), (1,))
+    separation, glue = [], []
+    sheaves._check_family(_duplicated_values(space), (), fam, separation, glue, 4)
+    assert len(separation) > 1 and len(glue) == 4
+    separation, glue = [], []
+    sheaves._check_family(_rigid(space), (), fam, separation, glue, 4)
+    assert separation == [] and len(glue) == 2
+
+
+@settings(max_examples=400)
+@given(st.integers(0, 2**32 - 1), st.integers(1, 7), st.data())
+def test_one_walk_canonicalizer_matches_the_per_value_walk(seed, size, data):
+    # labels drawn on the opens below a root; the zone of v holds the opens
+    # whose whole down-set is labelled v: down-closed and pairwise disjoint,
+    # and equivalent opens, with equal down-sets, share a zone
+    basis = random_preorder(random.Random(seed), size)
+    root = data.draw(st.sampled_from(basis.elements))
+    fragment = basis.down(root)
+    labels = dict(zip(fragment, data.draw(st.lists(
+        st.sampled_from((0, 1, 2, None)), min_size=len(fragment), max_size=len(fragment)))))
+    zones: dict = {}
+    for w in fragment:
+        here = {labels[u] for u in basis.below(w)}
+        if len(here) == 1 and None not in here:
+            zones.setdefault(here.pop(), set()).add(w)
+    order = data.draw(st.permutations(list(zones)))
+    zones = {value: frozenset(zones[value]) for value in order}
+    assert sheaves._from_zones(basis, root, zones) == from_zones_per_value(basis, root, zones)
