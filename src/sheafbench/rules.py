@@ -6,7 +6,9 @@ the covering system (bar), and a continuous choice function with a modulus
 read off a forced functional relation (continuity).  Each pipeline returns
 its conclusion together with an :class:`ExtractionTranscript` whose stages
 are plain recomputable data; :func:`recheck_transcript` re-verifies every
-stage independently of the code that produced it.
+stage independently of the code that produced it.  A transcript keeps the
+rule's input, and the recheck builds its own double and forcing model from
+it, so no cache of the producing run can vouch for itself.
 """
 from __future__ import annotations
 
@@ -87,15 +89,16 @@ class ExtractionTranscript:
     """Staged record of one rule extraction.
 
     ``stages`` lists ``(name, payload)`` pairs in pipeline order; payloads
-    hold only recomputable facts.  ``context`` carries the inputs a verifier
-    needs to replay the stages (bar, space, double, model) and is excluded
-    from comparisons.
+    hold only recomputable facts.  ``source`` is the rule's input, the bar
+    for fan and bar and ``(space, table)`` for continuity, from which a
+    recheck builds a model of its own; it is excluded from comparisons and
+    from the JSON.
     """
 
     rule: str
     stages: tuple
     output: object
-    context: dict = field(default_factory=dict, compare=False, repr=False)
+    source: object = field(compare=False, repr=False)
 
     def stage(self, name: str) -> dict:
         for got, payload in self.stages:
@@ -118,6 +121,15 @@ def _double_model(space: TruncatedSpace, **kwargs) -> tuple[DoubleSpace, Forcing
     return double, standard_model(double, **kwargs)
 
 
+def _table_model(space: TruncatedSpace, images: Mapping) -> tuple[DoubleSpace, ForcingModel]:
+    """The double and model a continuity premise is forced in: the graph of
+    the table joins the stream universe."""
+    double, model = _double_model(space, rel_table=images)
+    seq_sort = "Seq2" if space.branch == 2 else "SeqN"
+    graph = table_value(images, space.branch, label="rel")
+    return double, with_universe_value(model, seq_sort, graph)
+
+
 def _witness_map(model: ForcingModel, double: DoubleSpace, premise, fuel):
     """First witnesses of the generic instance of a forced ``forall/exists``."""
     env = {premise.var: (premise.sort, generic_value(double.inner.branch))}
@@ -126,63 +138,45 @@ def _witness_map(model: ForcingModel, double: DoubleSpace, premise, fuel):
     return pairs, inner
 
 
+def _premise_model(bar: Bar, text: str):
+    """The double and model a bar premise is forced in, the parsed premise
+    and its ``premise`` stage payload."""
+    double, model = _double_model(bar.space, bar=bar)
+    premise = F.parse_formula(text)
+    return double, model, premise, {"formula": str(premise), "root": double.d(())}
+
+
 def _forced_premise(bar: Bar, text: str, fuel):
     """Force a bar premise at D(<>) of the double and read its witness map.
 
     Returns the double, its model, the parsed premise, the ``premise`` and
     ``witness-sieve`` stages, and the first witness of each inner open.
     """
-    double, model = _double_model(bar.space, bar=bar)
-    root = double.d(())
-    premise = F.parse_formula(text)
-    if not force(model, root, premise, fuel=fuel):
+    double, model, premise, stage = _premise_model(bar, text)
+    if not force(model, stage["root"], premise, fuel=fuel):
         raise PremiseNotForced("premise")
     pairs, inner_witness = _witness_map(model, double, premise, fuel)
-    stages = [
-        ("premise", {"formula": str(premise), "root": root}),
-        ("witness-sieve", {"pairs": pairs}),
-    ]
+    stages = [("premise", stage), ("witness-sieve", {"pairs": pairs})]
     return double, model, premise, stages, inner_witness
 
 
 def _recheck_premise(transcript: ExtractionTranscript, text: str, fuel) -> tuple:
-    """Re-force a bar premise and re-read its witness map.
+    """Re-force a bar premise in a fresh model and re-read its witness map.
 
-    Returns the parsed premise, the witness map and the names of the
-    ``premise`` and ``witness-sieve`` stages that fail.
+    Returns the model, the parsed premise, the witness map and the names
+    of the ``premise`` and ``witness-sieve`` stages that fail.
     """
-    double = transcript.context["double"]
-    model = transcript.context["model"]
-    premise = F.parse_formula(text)
+    double, model, premise, stage = _premise_model(transcript.source, text)
     failed = []
-    if not force(model, double.d(()), premise, fuel=fuel):
+    if not force(model, stage["root"], premise, fuel=fuel) or transcript.stage("premise") != stage:
         failed.append("premise")
     pairs, inner_witness = _witness_map(model, double, premise, fuel)
     if pairs != transcript.stage("witness-sieve")["pairs"]:
         failed.append("witness-sieve")
-    return premise, inner_witness, failed
+    return model, premise, inner_witness, failed
 
 
 # ---------------------------------------------------------------- fan rule
-
-
-@dataclass(frozen=True)
-class FanRuleInput:
-    """A monotone bar on the truncated binary space, verified on intake."""
-
-    bar: Bar
-
-    def __post_init__(self):
-        if self.bar.space.kind != "cantor":
-            raise ValueError("the fan rule runs over the truncated binary space")
-        if not self.bar.monotone:
-            verified = Bar(
-                self.bar.space,
-                self.bar.predicate,
-                monotone=True,
-                inductive=self.bar.inductive,
-            )
-            object.__setattr__(self, "bar", verified)
 
 
 def least_uniform_depth(bar: Bar) -> int | None:
@@ -193,7 +187,7 @@ def least_uniform_depth(bar: Bar) -> int | None:
     return None
 
 
-def fan_rule(inp: FanRuleInput | Bar, fuel: int | None = None):
+def fan_rule(bar: Bar, fuel: int | None = None):
     """Uniform depth for a monotone bar, extracted from the forced premise.
 
     Forces ``forall a. exists u. Prefix(a, u) & InBar(u)`` at D(<>) of the
@@ -201,12 +195,14 @@ def fan_rule(inp: FanRuleInput | Bar, fuel: int | None = None):
     level lying wholly inside it, checks every witness is a genuine prefix
     landing in the bar, evaluates the witness instance at the eventually-zero
     point through each level member, and concludes along monotonicity.
-    Returns ``(n, transcript)`` with every length-n sequence in the bar.
+    Returns ``(n, transcript)`` with every length-n sequence in the bar;
+    the bar is re-verified monotone when its flag is unset.
     """
-    if isinstance(inp, Bar):
-        inp = FanRuleInput(inp)
-    bar = inp.bar
     space = bar.space
+    if space.kind != "cantor":
+        raise ValueError("the fan rule runs over the truncated binary space")
+    if not bar.monotone:
+        bar = Bar(space, bar.predicate, monotone=True, inductive=bar.inductive)
     double, model, premise, stages, inner_witness = _forced_premise(bar, FAN_PREMISE, fuel)
     ex = premise.body
 
@@ -271,20 +267,14 @@ def fan_rule(inp: FanRuleInput | Bar, fuel: int | None = None):
         raise AssertionError("extracted depth disagrees with the brute-force scan")
     stages.append(("cross-check", {"brute": brute, "cover_depth": direct.depth}))
 
-    transcript = ExtractionTranscript(
-        rule="fan",
-        stages=tuple(stages),
-        output=n,
-        context={"bar": bar, "space": space, "double": double, "model": model},
-    )
+    transcript = ExtractionTranscript(rule="fan", stages=tuple(stages), output=n, source=bar)
     return n, transcript
 
 
 def _recheck_fan(transcript: ExtractionTranscript, fuel: int | None = None) -> tuple:
-    bar = transcript.context["bar"]
-    space = transcript.context["space"]
-    model = transcript.context["model"]
-    premise, inner_witness, failed = _recheck_premise(transcript, FAN_PREMISE, fuel)
+    bar = transcript.source
+    space = bar.space
+    model, premise, inner_witness, failed = _recheck_premise(transcript, FAN_PREMISE, fuel)
     ex = premise.body
 
     def uniform(q: int) -> bool:
@@ -294,30 +284,39 @@ def _recheck_fan(transcript: ExtractionTranscript, fuel: int | None = None) -> t
     if not uniform(n0) or any(uniform(q) for q in range(n0)):
         failed.append("uniform-depth")
 
+    # every later stage lists the level-n bracket with its re-read witnesses
     purification = transcript.stage("purification")
     n = purification["n"]
-    if n != transcript.output or not all(
-        seq_leq(v, u) and bar.holds(u) for v, u in purification["witnesses"]
+    level = u_bracket(space, (), n)
+    witnesses = tuple((v, inner_witness.get(v)) for v in level)
+    if (
+        n != transcript.output
+        or purification["witnesses"] != witnesses
+        or not uniform(n)
+        or not all(seq_leq(v, u) and bar.holds(u) for v, u in witnesses)
     ):
         failed.append("purification")
 
-    for v, point, u in transcript.stage("minimal-point")["discharges"]:
-        env = {
+    discharges = transcript.stage("minimal-point")["discharges"]
+    if discharges != tuple((v, Point(v, 0), u) for v, u in witnesses) or not all(
+        point.passes_through(v) and classical_truth(model, point, ex.body, env={
             premise.var: (premise.sort, pure_value(point, space.branch)),
             ex.var: (ex.sort, u),
-        }
-        if not point.passes_through(v) or not classical_truth(model, point, ex.body, env=env):
-            failed.append("minimal-point")
-            break
+        })
+        for v, point, u in discharges
+    ):
+        failed.append("minimal-point")
 
-    if not all(bar.holds(v) for v, _ in transcript.stage("monotone-step")["conclusions"]):
+    conclusions = transcript.stage("monotone-step")["conclusions"]
+    if conclusions != witnesses or not all(bar.holds(v) for v, _ in conclusions):
         failed.append("monotone-step")
 
     cross = transcript.stage("cross-check")
     if (
         least_uniform_depth(bar) != cross["brute"]
+        or space.topology.cover((), bar_to_sieve(bar)).depth != cross["cover_depth"]
         or n < cross["brute"]
-        or not all(bar.holds(v) for v in u_bracket(space, (), n))
+        or not all(bar.holds(v) for v in level)
     ):
         failed.append("cross-check")
     return tuple(failed)
@@ -367,7 +366,7 @@ def bar_rule(bar: Bar, fuel: int | None = None):
         raise ValueError("bar induction runs over a truncated sequence space")
     if not (bar.monotone and bar.inductive):
         bar = Bar(space, bar.predicate, monotone=True, inductive=True)
-    double, model, _, stages, inner_witness = _forced_premise(bar, BAR_PREMISE, fuel)
+    _, _, _, stages, inner_witness = _forced_premise(bar, BAR_PREMISE, fuel)
 
     witnesses = tuple(sorted(inner_witness.items(), key=lambda kv: element_key(kv[0])))
     for v, u in witnesses:
@@ -388,31 +387,22 @@ def bar_rule(bar: Bar, fuel: int | None = None):
         raise HypothesisFails((), None)
     stages.append(("closure-oracle", {"base": base, "root_step": root_step}))
 
-    transcript = ExtractionTranscript(
-        rule="bar",
-        stages=tuple(stages),
-        output=True,
-        context={
-            "bar": bar,
-            "space": space,
-            "double": double,
-            "model": model,
-            "cover": cover,
-        },
-    )
+    transcript = ExtractionTranscript(rule="bar", stages=tuple(stages), output=True, source=bar)
     return True, transcript
 
 
 def _recheck_bar(transcript: ExtractionTranscript, fuel: int | None = None) -> tuple:
-    bar = transcript.context["bar"]
-    space = transcript.context["space"]
-    cover = transcript.context["cover"]
-    _, _, failed = _recheck_premise(transcript, BAR_PREMISE, fuel)
+    bar = transcript.source
+    space = bar.space
+    _, _, inner_witness, failed = _recheck_premise(transcript, BAR_PREMISE, fuel)
 
     witnesses = transcript.stage("cover")["witnesses"]
-    if not all(
-        seq_leq(v, u) and bar.holds(u) and bar.holds(v) for v, u in witnesses
-    ) or frozenset(v for v, _ in witnesses) != cover.members:
+    cover = Sieve.from_generators(space.basis, (), (v for v, _ in witnesses))
+    if (
+        witnesses != tuple(sorted(inner_witness.items(), key=lambda kv: element_key(kv[0])))
+        or not all(seq_leq(v, u) and bar.holds(u) and bar.holds(v) for v, u in witnesses)
+        or frozenset(v for v, _ in witnesses) != cover.members
+    ):
         failed.append("cover")
 
     induction = transcript.stage("induction")["transcript"]
@@ -473,9 +463,7 @@ def continuity_rule(rel: Mapping, space: TruncatedSpace, fuel: int | None = None
             modulus[(alpha, k)] = m
     stages.append(("modulus", {"table": dict(modulus)}))
 
-    double, model = _double_model(space, rel_table=images)
-    seq_sort = "Seq2" if branch == 2 else "SeqN"
-    model = with_universe_value(model, seq_sort, table_value(images, branch, label="rel"))
+    double, model = _table_model(space, images)
     root = double.d(())
     formula = F.parse_formula(UNIQUE_IMAGE)
 
@@ -511,25 +499,20 @@ def continuity_rule(rel: Mapping, space: TruncatedSpace, fuel: int | None = None
     stages.append(("graph", {"pairs": ordered}))
 
     transcript = ExtractionTranscript(
-        rule="continuity",
-        stages=tuple(stages),
-        output=ordered,
-        context={"space": space, "double": double, "model": model, "table": images},
+        rule="continuity", stages=tuple(stages), output=ordered, source=(space, table)
     )
     return graph, modulus, transcript
 
 
 def _recheck_continuity(transcript: ExtractionTranscript, fuel: int | None = None) -> tuple:
-    space = transcript.context["space"]
-    double = transcript.context["double"]
-    model = transcript.context["model"]
-    images = transcript.context["table"]
+    space, table = transcript.source
     branch, depth = space.branch, space.depth
     failed = []
 
-    points = transcript.stage("total")["points"]
-    if points != eventually_constant_points(branch, depth + 1) or any(q not in images for q in points):
+    points = eventually_constant_points(branch, depth + 1)
+    if transcript.stage("total")["points"] != points or any(q not in table for q in points):
         failed.append("total")
+    images = {q: table[q] for q in points if q in table}
 
     recorded = transcript.stage("modulus")["table"]
     for (alpha, k), m in recorded.items():
@@ -537,22 +520,27 @@ def _recheck_continuity(transcript: ExtractionTranscript, fuel: int | None = Non
             failed.append("modulus")
             break
 
+    double, model = _table_model(space, images)
     formula = F.parse_formula(UNIQUE_IMAGE)
     root = double.d(())
-    if not force(model, root, formula, fuel=fuel):
+    if not force(model, root, formula, fuel=fuel) or (
+        transcript.stage("premise") != {"formula": str(formula), "root": root}
+    ):
         failed.append("premise")
 
     chosen = transcript.stage("section")["value"]
     if not force(model, root, formula.body, env={formula.var: (formula.sort, chosen)}, fuel=fuel):
         failed.append("section")
 
-    for alpha, image in transcript.stage("graph")["pairs"]:
-        got = point_observation(model, observe(model, chosen, alpha), branch)
-        if got != point_observation(model, image, branch) or got != point_observation(
-            model, images[alpha], branch
-        ):
-            failed.append("graph")
-            break
+    pairs = transcript.stage("graph")["pairs"]
+    listed = tuple(sorted(points, key=lambda q: q.sort_key))
+    if tuple(alpha for alpha, _ in pairs) != listed or not all(
+        point_observation(model, observe(model, chosen, alpha), branch)
+        == point_observation(model, image, branch)
+        == point_observation(model, images[alpha], branch)
+        for alpha, image in pairs
+    ):
+        failed.append("graph")
     return tuple(failed)
 
 

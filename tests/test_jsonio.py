@@ -168,12 +168,12 @@ def test_jsonable_renders_transcripts_as_nested_arrays():
         rule="demo",
         stages=(("first", {"value": (1, 2)}),),
         output=3,
-        context={"model": object()},
+        source=object(),
     )
     got = _shape(transcript)
     assert got["type"] == "ExtractionTranscript"
     assert got["stages"] == [["first", {"value": [1, 2]}]]
-    assert "context" not in got
+    assert "source" not in got
 
 
 def test_dump_report_is_order_insensitive():

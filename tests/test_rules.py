@@ -5,10 +5,11 @@ import random
 
 import pytest
 
+from sheafbench import rules
+from sheafbench.double import DOpen
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_monotone_bar
 from sheafbench.rules import (
-    FanRuleInput,
     NoModulus,
     PremiseNotForced,
     bar_rule,
@@ -74,9 +75,9 @@ def test_fan_rule_verifies_monotonicity_on_intake():
     space = cantor_space(3)
     sideways = Bar(space, lambda u: len(u) == 2, monotone=False)
     with pytest.raises(NotMonotone):
-        FanRuleInput(sideways)
+        fan_rule(sideways)
     with pytest.raises(ValueError):
-        FanRuleInput(Bar(baire_space(2, 3), lambda u: True, monotone=True))
+        fan_rule(Bar(baire_space(2, 3), lambda u: True, monotone=True))
 
 
 def test_fan_rule_reports_an_unforced_premise():
@@ -242,3 +243,85 @@ def test_continuity_recheck_flags_a_tampered_graph():
     )
     tampered = dataclasses.replace(transcript, stages=stages)
     assert "graph" in recheck_transcript(tampered)
+
+
+# --------------------------------------------------------------- recheck
+
+
+def _fan_transcript():
+    bar = Bar(cantor_space(3), lambda u: 1 in u or len(u) >= 2, monotone=True)
+    return fan_rule(bar)[1]
+
+
+def _bar_transcript():
+    return bar_rule(Bar(baire_space(2, 3), lambda u: True, monotone=True, inductive=True))[1]
+
+
+def _continuity_transcript():
+    table = {q: _shift(q) for q in eventually_constant_points(2, 3)}
+    return continuity_rule(table, baire_space(2, 2))[2]
+
+
+def _retouched(transcript, stage, **fields):
+    stages = tuple(
+        (name, dict(payload, **fields) if name == stage else payload)
+        for name, payload in transcript.stages
+    )
+    return dataclasses.replace(transcript, stages=stages)
+
+
+@pytest.mark.parametrize(
+    "made, stage, fields",
+    [
+        (_fan_transcript, "premise", {"formula": "false"}),
+        (_fan_transcript, "premise", {"root": DOpen((9,))}),
+        (_fan_transcript, "purification", {"witnesses": ()}),
+        (_fan_transcript, "minimal-point", {"discharges": ()}),
+        (_fan_transcript, "monotone-step", {"conclusions": ()}),
+        (_fan_transcript, "cross-check", {"cover_depth": 99}),
+        (_bar_transcript, "premise", {"formula": "false"}),
+        (_continuity_transcript, "premise", {"formula": "false"}),
+        (_continuity_transcript, "graph", {"pairs": ()}),
+    ],
+    ids=[
+        "fan-premise-formula",
+        "fan-premise-root",
+        "fan-purification-witnesses",
+        "fan-minimal-point-discharges",
+        "fan-monotone-step-conclusions",
+        "fan-cross-check-cover-depth",
+        "bar-premise-formula",
+        "continuity-premise-formula",
+        "continuity-graph-pairs",
+    ],
+)
+def test_recheck_reads_every_recorded_field(made, stage, fields):
+    transcript = made()
+    assert recheck_transcript(transcript) == ()
+    assert recheck_transcript(_retouched(transcript, stage, **fields)) == (stage,)
+
+
+def test_bar_recheck_compares_the_cover_with_the_re_read_witnesses():
+    # another genuine prefix in the bar is a valid witness, and the cover's
+    # members stay the same: only the re-read witness map tells them apart
+    transcript = _bar_transcript()
+    *kept, (leaf, _) = transcript.stage("cover")["witnesses"]
+    moved = (*kept, (leaf, leaf[:-1]))
+    assert recheck_transcript(_retouched(transcript, "cover", witnesses=moved)) == ("cover",)
+
+
+def test_each_rule_and_its_recheck_build_a_model_apiece(monkeypatch):
+    built = []
+    original = rules.standard_model
+
+    def counting(space, **kwargs):
+        built.append(space)
+        return original(space, **kwargs)
+
+    monkeypatch.setattr(rules, "standard_model", counting)
+    for made in (_fan_transcript, _bar_transcript, _continuity_transcript):
+        built.clear()
+        transcript = made()
+        assert len(built) == 1
+        assert recheck_transcript(transcript) == ()
+        assert len(built) == 2 and built[0] is not built[1]

@@ -113,7 +113,7 @@ def test_every_package_name_and_keyword_the_benchmark_uses_exists():
             ):
                 continue
             try:
-                inspect.signature(target).bind_partial(
+                inspect.signature(target).bind(
                     *node.args, **{k.arg: k.value for k in node.keywords})
             except TypeError as err:
                 problems.append(f"{path.name}:{node.lineno} {ast.unparse(node.func)}: {err}")
