@@ -19,6 +19,21 @@ seen through its prefix chain in the target tree, so a pure value's members
 and the generic value's at a stage are closed-form chains; a table value's
 are the chains of its images along the points through the stage, which the
 model reads from one point index (:func:`points.incidence`) built with it.
+
+Forcing runs a set of stages at a time: one call answers, for a subformula
+under an environment, which stages of a given set force it, and the run's
+memo keeps per (subformula, env) the stages evaluated so far and those
+forced, so each call evaluates only stages it has not seen.  A conjunction
+asks its right side only where its left holds; a disjunction's zone asks
+its right side only where its left fails, an implication's only where its
+left holds; a quantifier tries each universe value only at the elements
+still without a witness (or counterexample).  Atoms read their arguments
+once per call, and order, bar and pure-value atoms answer once for the
+whole set.  A run's step count is the number of distinct
+(subformula, stage, env) triples demanded this way.  Which triples a
+verdict demands depends only on the verdicts of the triples that demand
+them, not on the order they are evaluated in, so the count, and with it
+fuel, is the one a stage-at-a-time evaluation would reach.
 """
 from __future__ import annotations
 
@@ -179,13 +194,14 @@ class _Run:
         self.model = model
         self.fuel = fuel
         self.steps = 0
+        # (node, env slice) -> (stages evaluated so far, stages forced)
         self.memo: dict = {}
         self.zones: dict = {}
 
-    def tick(self):
-        self.steps += 1
+    def tick(self, count: int):
+        self.steps += count
         if self.fuel is not None and self.steps > self.fuel:
-            raise FuelExhausted(self.steps)
+            raise FuelExhausted(self.fuel + 1)
 
     def env_key(self, node, env: dict) -> tuple:
         """Relevant slice of the environment as a fixed-order value tuple."""
@@ -212,42 +228,74 @@ def eval_term(model: ForcingModel, env: Mapping, term):
 
 def force(model: ForcingModel, stage, formula, env: Mapping | None = None,
           fuel: int | None = None) -> bool:
+    """Whether ``stage`` forces ``formula`` under ``env``.
+
+    ``fuel`` bounds the forcing steps, the (subformula, stage, env)
+    triples the verdict demands; past it the run raises
+    :class:`FuelExhausted`.  Without fuel, a formula the model cannot
+    interpret raises :class:`ModelError` as soon as a demanded triple needs
+    the missing piece.  With a finite fuel and such a formula, which of the
+    two comes first depends on the order in which stage sets are walked.
+    """
     model.space.basis.require(stage)
     run = _Run(model, fuel)
     return _force(run, stage, formula, dict(env or {}))
 
 
 def _force(run: _Run, stage, node, env: dict) -> bool:
-    model = run.model
-    key = (node, stage, run.env_key(node, env))
-    out = run.memo.get(key)
-    if out is not None:
-        return out
-    run.tick()
+    return stage in _holds(run, frozenset((stage,)), node, env)
 
+
+def _holds(run: _Run, stages: frozenset, node, env: dict) -> frozenset:
+    """The stages of ``stages`` that force ``node``, each evaluated once."""
+    key = (node, run.env_key(node, env))
+    entry = run.memo.get(key)
+    if entry is None:
+        entry = run.memo[key] = (set(), set())
+    seen, holds = entry
+    new = stages - seen
+    if new:
+        run.tick(len(new))
+        holds.update(_evaluate(run, new, node, env))
+        seen |= new
+    return stages & holds
+
+
+def _evaluate(run: _Run, stages: frozenset, node, env: dict):
+    model = run.model
     basis = model.space.basis
     topology = model.space.topology
 
     if isinstance(node, F.Falsum):
-        out = topology.cover(stage, Sieve.empty(basis, stage)).covered
-    elif isinstance(node, F.Atom):
+        return [s for s in stages
+                if topology.cover(s, Sieve.empty(basis, s)).covered]
+    if isinstance(node, F.Atom):
         impl = ATOMS.get(node.name)
         if impl is None:
             raise ModelError(f"unknown atom {node.name!r}")
         args = tuple(eval_term(model, env, t) for t in node.args)
-        out = bool(impl(model, stage, args))
-    elif isinstance(node, F.And):
-        out = _force(run, stage, node.left, env) and _force(run, stage, node.right, env)
-    elif isinstance(node, (F.Or, F.Exists)):
-        sieve = Sieve.from_generators(basis, stage, _zone(run, node, env))
-        out = topology.cover(stage, sieve).covered
-    elif isinstance(node, (F.Implies, F.Forall)):
-        out = basis.below(stage).isdisjoint(_zone(run, node, env))
-    else:
-        raise ModelError(f"not a formula: {node!r}")
+        if _stage_free(node.name, args):
+            return stages if impl(model, next(iter(stages)), args) else ()
+        return [s for s in stages if impl(model, s, args)]
+    if isinstance(node, F.And):
+        return _holds(run, _holds(run, stages, node.left, env), node.right, env)
+    if isinstance(node, (F.Or, F.Exists)):
+        zone = _zone(run, node, env)
+        return [s for s in stages
+                if topology.cover(s, Sieve.from_generators(basis, s, zone)).covered]
+    if isinstance(node, (F.Implies, F.Forall)):
+        zone = _zone(run, node, env)
+        return [s for s in stages if basis.below(s).isdisjoint(zone)]
+    raise ModelError(f"not a formula: {node!r}")
 
-    run.memo[key] = out
-    return out
+
+def _stage_free(name: str, args: tuple) -> bool:
+    """Whether an atom's verdict is the same at every stage: order and bar
+    tests, and equality or prefix tests on pure values only."""
+    if name in ("Leq", "InBar"):
+        return True
+    return name in ("Eq", "Prefix") and not any(
+        isinstance(value, SectionValue) and value.kind != "pure" for _, value in args)
 
 
 def _zone(run: _Run, node, env: dict):
@@ -258,7 +306,8 @@ def _zone(run: _Run, node, env: dict):
     does not depend on the stage being forced; computing it once over the
     whole basis lets every stage reuse it as an intersection with its
     downset.  A quantifier's zone maps each element to its first witness
-    (Exists) or counterexample (Forall) in universe order.
+    (Exists) or counterexample (Forall) in universe order: each value is
+    tried only at the elements still without one.
     """
     model = run.model
     key = (node, run.env_key(node, env))
@@ -266,31 +315,27 @@ def _zone(run: _Run, node, env: dict):
     if got is not None:
         return got
 
-    elements = model.space.basis.elements
+    everywhere = frozenset(model.space.basis.elements)
     if isinstance(node, F.Or):
-        got = frozenset(
-            v
-            for v in elements
-            if _force(run, v, node.left, env) or _force(run, v, node.right, env)
-        )
+        left = _holds(run, everywhere, node.left, env)
+        got = left | _holds(run, everywhere - left, node.right, env)
     elif isinstance(node, F.Implies):
-        got = frozenset(
-            v
-            for v in elements
-            if _force(run, v, node.left, env) and not _force(run, v, node.right, env)
-        )
+        left = _holds(run, everywhere, node.left, env)
+        got = left - _holds(run, left, node.right, env)
     elif isinstance(node, (F.Exists, F.Forall)):
-        # each element's first witness (Exists) or counterexample (Forall)
         universe = model.universe(node.sort)
         wanted = isinstance(node, F.Exists)
-        got = {}
-        for v in elements:
-            inner_env = dict(env)
-            for c in universe:
-                inner_env[node.var] = (node.sort, c)
-                if _force(run, v, node.body, inner_env) == wanted:
-                    got[v] = c
-                    break
+        first, pending = {}, everywhere
+        inner_env = dict(env)
+        for c in universe:
+            if not pending:
+                break
+            inner_env[node.var] = (node.sort, c)
+            held = _holds(run, pending, node.body, inner_env)
+            found = held if wanted else pending - held
+            first.update(dict.fromkeys(found, c))
+            pending -= found
+        got = {v: first[v] for v in model.space.basis.elements if v in first}
     else:
         raise ModelError(f"no zone for {node!r}")
 

@@ -280,11 +280,17 @@ def _recheck_fan(transcript: ExtractionTranscript, fuel: int | None = None) -> t
     def uniform(q: int) -> bool:
         return all(v in inner_witness for v in u_bracket(space, (), q))
 
+    def genuine(q: int) -> bool:
+        return all(
+            v in inner_witness and seq_leq(v, inner_witness[v]) for v in u_bracket(space, (), q)
+        )
+
     n0 = transcript.stage("uniform-depth")["n0"]
     if not uniform(n0) or any(uniform(q) for q in range(n0)):
         failed.append("uniform-depth")
 
-    # every later stage lists the level-n bracket with its re-read witnesses
+    # every later stage lists the level-n bracket with its re-read witnesses;
+    # n is the least level from n0 on whose witnesses are genuine prefixes
     purification = transcript.stage("purification")
     n = purification["n"]
     level = u_bracket(space, (), n)
@@ -292,8 +298,9 @@ def _recheck_fan(transcript: ExtractionTranscript, fuel: int | None = None) -> t
     if (
         n != transcript.output
         or purification["witnesses"] != witnesses
-        or not uniform(n)
-        or not all(seq_leq(v, u) and bar.holds(u) for v, u in witnesses)
+        or not genuine(n)
+        or any(genuine(q) for q in range(n0, n))
+        or not all(bar.holds(u) for _, u in witnesses)
     ):
         failed.append("purification")
 

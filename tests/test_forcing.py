@@ -5,6 +5,7 @@ from functools import lru_cache
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forcing_oracle
 from point_oracle import double_point_family, family_through, scan_observation, scan_through
 from sheafbench.double import build_double
 from sheafbench.forcing import (
@@ -14,6 +15,8 @@ from sheafbench.forcing import (
     NoRefinementFound,
     NotCovering,
     NotDisjoint,
+    _Run,
+    _force,
     cc_refine,
     choice_amalgamation,
     classical_truth,
@@ -30,7 +33,7 @@ from sheafbench.forcing import (
     table_value,
     with_universe_value,
 )
-from sheafbench.formulas import Lit, Name, Sum, parse_formula
+from sheafbench.formulas import And, Exists, Implies, Lit, Name, Or, Sum, parse_formula
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_formula
 from sheafbench.sheaves import NatSection, nat_sheaf, space_atoms
@@ -261,6 +264,71 @@ def test_fuel_exhaustion_is_distinguished():
     with pytest.raises(FuelExhausted):
         force(model, dbl.d(()), phi, fuel=5)
     assert force(model, dbl.d(()), phi, fuel=100_000)
+
+
+def _differential_models() -> tuple:
+    """(model, root) for the force-many double, a Baire(3) depth-2 double
+    and the plain Cantor(3) tree, each with a bar behind ``InBar``."""
+    baire = baire_space(3, 2)
+    baire_double = build_double(baire, eventually_constant_points(3, 1))
+    cantor = cantor_space(3)
+    return (
+        (_DEPTH3[1], _DEPTH3[0].d(())),
+        (standard_model(baire_double, bar=bar_from_generators(baire, [(0,), (1, 2), (2,)]),
+                        n_max=4, prefix_cap=1), baire_double.d(())),
+        (standard_model(cantor, bar=bar_from_generators(cantor, [(1,), (0, 0)]), n_max=4),
+         ()),
+    )
+
+
+_DIFFERENTIAL = _differential_models()
+# pieces the models cannot interpret: unknown atom and name, sort and arity
+# mismatches, a Rel with no function table, and a bar test on a Nat that
+# only the stages where its guard holds reach
+_ILL_FORMED = ("Foo(pi)", "Leq(x, 1)", "Eq(pi, 1)", "App(pi, 0)", "Prefix(pi, 1)",
+               "Rel(pi, pi)", "exists n:Nat. Leq(n, 2) & InBar(n)")
+
+
+def _outcome(call):
+    try:
+        return call()
+    except ModelError:
+        return ModelError
+
+
+def _subformulas(node):
+    yield node
+    for child in (getattr(node, name, None) for name in ("left", "right", "body")):
+        if child is not None:
+            yield from _subformulas(child)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(range(len(_DIFFERENTIAL))), st.integers(0, 2**32 - 1),
+       st.none() | st.sampled_from(_ILL_FORMED), st.sampled_from((And, Or, Implies)),
+       st.booleans())
+def test_set_at_a_time_forcing_matches_the_per_stage_oracle(which, seed, bad, join, first):
+    model, root = _DIFFERENTIAL[which]
+    rng = random.Random(seed)
+    phi = random_formula(rng, rng.randint(0, 3), n_max=rng.choice((2, 8)))
+    if bad is not None:
+        pieces = (parse_formula(bad), phi) if first else (phi, parse_formula(bad))
+        phi = join(*pieces)
+    for stage in model.space.basis.elements:
+        run = _Run(model, None)
+        got = _outcome(lambda: (_force(run, stage, phi, {}), run.steps))
+        assert got == _outcome(lambda: forcing_oracle.force_and_count(model, stage, phi)), (phi, stage)
+        if got is ModelError:
+            continue
+        verdict, steps = got
+        with pytest.raises(FuelExhausted) as err:
+            force(model, stage, phi, fuel=steps - 1)
+        assert err.value.steps == steps
+        assert force(model, stage, phi, fuel=steps) == verdict
+    for node in _subformulas(phi):
+        if isinstance(node, Exists) and set(node.free) <= set(model.constants):
+            assert _outcome(lambda: exists_witness_sieve(model, root, node)) == _outcome(
+                lambda: forcing_oracle.exists_witness_sieve(model, root, node)), node
 
 
 def test_cc_refine_keeps_given_disjoint_pieces():

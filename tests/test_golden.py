@@ -5,8 +5,9 @@ that changes any verdict, witness, transcript or rendering shows up here.
 Reports embed their input paths, so every run happens inside a temporary
 directory with relative paths.  The generator digests pin what each seeded generator draws, since
 the suites and the benchmark corpus are built from those draws.  The
-forcing digest pins the step count of every forcing run, so the memo keys,
-and with them fuel, cannot move.
+forcing digest pins the step count of every forcing run: the number of
+distinct (subformula, stage, env) triples its verdict demands, which does
+not depend on the order they are evaluated in, so fuel cannot move.
 """
 import hashlib
 import json

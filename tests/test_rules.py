@@ -4,6 +4,7 @@ import dataclasses
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sheafbench import rules
 from sheafbench.double import DOpen
@@ -25,6 +26,7 @@ from sheafbench.spaces import (
     NotMonotone,
     baire_space,
     cantor_space,
+    u_bracket,
 )
 
 
@@ -88,14 +90,16 @@ def test_fan_rule_reports_an_unforced_premise():
     assert err.value.stage == "premise"
 
 
-def test_fan_rule_matches_brute_force_on_random_bars():
-    rng = random.Random(1207)
-    for _ in range(8):
-        space = cantor_space(rng.randint(2, 4))
-        bar = random_monotone_bar(rng, space)
-        n, transcript = fan_rule(bar)
-        assert n == least_uniform_depth(bar)
-        assert recheck_transcript(transcript) == ()
+_CANTOR = {depth: cantor_space(depth) for depth in range(1, 7)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(sorted(_CANTOR)), st.integers(0, 2**32 - 1))
+def test_fan_rule_matches_brute_force_on_random_bars(depth, seed):
+    bar = random_monotone_bar(random.Random(seed), _CANTOR[depth])
+    n, transcript = fan_rule(bar)
+    assert n == least_uniform_depth(bar)
+    assert recheck_transcript(transcript) == ()
 
 
 def test_fan_recheck_flags_a_tampered_transcript():
@@ -308,6 +312,23 @@ def test_bar_recheck_compares_the_cover_with_the_re_read_witnesses():
     *kept, (leaf, _) = transcript.stage("cover")["witnesses"]
     moved = (*kept, (leaf, leaf[:-1]))
     assert recheck_transcript(_retouched(transcript, "cover", witnesses=moved)) == ("cover",)
+
+
+def test_fan_recheck_wants_the_least_level_of_genuine_witnesses():
+    # level 3 also holds genuine prefixes in the bar, but level 2 does first
+    transcript = _fan_transcript()
+    assert transcript.output == 2
+    pairs = transcript.stage("witness-sieve")["pairs"]
+    inner = {m.seq: w for m, w in pairs if isinstance(m, DOpen)}
+    witnesses = tuple((v, inner[v]) for v in u_bracket(transcript.source.space, (), 3))
+    moved = dataclasses.replace(transcript, output=3)
+    for stage, fields in (
+        ("purification", {"n": 3, "witnesses": witnesses}),
+        ("minimal-point", {"discharges": tuple((v, Point(v, 0), u) for v, u in witnesses)}),
+        ("monotone-step", {"conclusions": witnesses}),
+    ):
+        moved = _retouched(moved, stage, **fields)
+    assert recheck_transcript(moved) == ("purification",)
 
 
 def test_each_rule_and_its_recheck_build_a_model_apiece(monkeypatch):
