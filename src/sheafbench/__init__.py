@@ -8,11 +8,11 @@ exposes the same machinery on the command line.
 """
 from .brouwer import (
     BrouwerTree,
+    TreeQuotient,
     alt_baire_equiv_check,
     bo_sheaf_checks,
     enumerate_trees,
     k_map,
-    tree_equiv,
 )
 from .double import DOpen, DoubleSpace, SingletonOpen, build_double
 from .forcing import (
@@ -71,6 +71,7 @@ __all__ = [
     "Point",
     "Sieve",
     "SingletonOpen",
+    "TreeQuotient",
     "TruncatedSpace",
     "alt_baire_equiv_check",
     "baire_space",
@@ -102,5 +103,4 @@ __all__ = [
     "set_compactness_witness",
     "sheaf_check",
     "standard_model",
-    "tree_equiv",
 ]

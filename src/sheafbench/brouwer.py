@@ -5,8 +5,8 @@ that turns each tree into a generator set for the sequence space, giving an
 alternative presentation of its covers; an exhaustive comparison of that
 presentation against the generated topology (:func:`alt_baire_equiv_check`);
 and labelled trees over an arbitrary refinable space, with restriction, the
-covering-based equivalence, and the battery of sheaf/algebra law checks in
-:func:`bo_sheaf_checks`.
+covering-based equivalence a :class:`TreeQuotient` holds, and the battery of
+sheaf/algebra law checks in :func:`bo_sheaf_checks`.
 """
 from __future__ import annotations
 
@@ -121,15 +121,13 @@ class AltBaireReport:
         )
 
 
-def tree_cover_test(space: TruncatedSpace, u, sieve: Sieve, trees=None):
-    """First tree whose translated cover sits inside the sieve, or None."""
-    budget = space.depth - len(u)
-    if trees is None:
-        trees = enumerate_trees(space.branch, budget)
-    for tree in trees:
-        if tree.depth > budget:
-            continue
-        image = k_map(tree, space.branch)
+def tree_cover_test(u, sieve: Sieve, images) -> BrouwerTree | None:
+    """First tree whose translated cover sits inside the sieve, or None.
+
+    ``images`` holds the ``(tree, k_map(tree))`` pairs, in enumeration
+    order, of every tree the open ``u`` has depth left for.
+    """
+    for tree, image in images:
         if all(u + w in sieve.members for w in image):
             return tree
     return None
@@ -164,7 +162,8 @@ def alt_baire_equiv_check(
     cover fits inside the sieve".  The closure properties of the tree image
     family are checked alongside: grafting trees onto the leaves of a tree
     realises unions of member-indexed covers, and descending realises
-    restrictions.
+    restrictions.  Each tree's image is computed once per depth budget, and
+    the cover test, the sieve family and the union pass read it from there.
     """
     space = baire_space(branch, depth)
     images_by_budget = {
@@ -176,11 +175,10 @@ def alt_baire_equiv_check(
     checked = 0
     for u in space.basis.elements:
         images = images_by_budget[depth - len(u)]
-        trees = tuple(t for t, _ in images)
         for sieve in _sieve_family(space, u, images, sieve_cap):
             checked += 1
             covered = space.topology.cover(u, sieve).covered
-            witness = tree_cover_test(space, u, sieve, trees=trees)
+            witness = tree_cover_test(u, sieve, images)
             if covered != (witness is not None):
                 disagreements.append((u, sieve.generators, covered, witness))
 
@@ -188,15 +186,11 @@ def alt_baire_equiv_check(
     image_sets = {image for _, image in images_by_budget[depth]}
     for tree, image in images_by_budget[max(0, depth - 1)]:
         leaves = sorted(image, key=element_key)
-        options = [
-            [t for t, _ in images_by_budget[depth - len(w)]] for w in leaves
-        ]
+        options = [images_by_budget[depth - len(w)] for w in leaves]
         for combo in itertools.islice(itertools.product(*options), combo_cap):
-            grafts = dict(zip(leaves, combo))
+            grafts = {w: t for w, (t, _) in zip(leaves, combo)}
             union = frozenset(
-                w + x
-                for w, t in grafts.items()
-                for x in k_map(t, branch)
+                w + x for w, (_, sub) in zip(leaves, combo) for x in sub
             )
             composed = graft(tree, grafts)
             if k_map(composed, branch) != union or union not in image_sets:
@@ -364,54 +358,69 @@ def restrict_tree(space: FormalSpace, branch: int, tree: LabelledTree, q) -> Lab
     return labelled_tree(space, branch, q, pieces, flags, children)
 
 
-def _restricted(space: FormalSpace, branch: int, memo: dict, tree: LabelledTree, q) -> LabelledTree:
-    """``restrict_tree`` through a memo keyed by ``(tree, q)``."""
-    key = (tree, q)
-    if key not in memo:
-        memo[key] = restrict_tree(space, branch, tree, q)
-    return memo[key]
+class TreeQuotient:
+    """The covering-based equivalence of labelled trees over one space.
 
+    Trees are equivalent when both share a root and the elements where the
+    two node covers agree form a covering sieve: the dominating pieces carry
+    the same flag and, when flagged, the corresponding subtrees restricted
+    to the common element are equivalent.  Restricting before recursing is
+    what lets a tree agree with any refinement of itself.
 
-def tree_equiv(space: FormalSpace, branch: int, v: LabelledTree, w: LabelledTree,
-               _memo: dict | None = None, _rmemo: dict | None = None) -> bool:
-    """Covering-based equality of labelled trees.
-
-    True when both share a root and the elements where the two node covers
-    agree form a covering sieve: the dominating pieces carry the same flag
-    and, when flagged, the corresponding subtrees restricted to the common
-    element are equivalent.  Restricting before recursing is what lets a
-    tree agree with any refinement of itself.
+    One instance keeps every verdict and every restriction it computes, so
+    all the checks handed the same quotient share them.
     """
-    memo = {} if _memo is None else _memo
-    rmemo = {} if _rmemo is None else _rmemo
-    key = (v, w)
-    if key in memo:
-        return memo[key]
-    if v.root != w.root:
-        memo[key] = False
-        return False
-    basis = space.basis
-    good = []
-    for r in basis.down(v.root):
-        q1 = v.piece_over(basis, r)
-        q2 = w.piece_over(basis, r)
-        if q1 is None or q2 is None or v.flag(q1) != w.flag(q2):
-            continue
-        if v.flag(q1) == 1 and not all(
-            tree_equiv(
-                space, branch,
-                _restricted(space, branch, rmemo, v.child(q1, n), r),
-                _restricted(space, branch, rmemo, w.child(q2, n), r),
-                memo, rmemo,
-            )
-            for n in range(branch)
-        ):
-            continue
-        good.append(r)
-    sieve = Sieve.from_generators(basis, v.root, good)
-    out = space.topology.cover(v.root, sieve).covered
-    memo[key] = out
-    return out
+
+    def __init__(self, space: FormalSpace, branch: int):
+        self.space = space
+        self.branch = branch
+        self._verdicts: dict = {}
+        self._restrictions: dict = {}
+
+    def restrict(self, tree: LabelledTree, q) -> LabelledTree:
+        """``restrict_tree`` of ``tree`` to ``q``, computed once per pair."""
+        key = (tree, q)
+        if key not in self._restrictions:
+            self._restrictions[key] = restrict_tree(self.space, self.branch, tree, q)
+        return self._restrictions[key]
+
+    def eq(self, v: LabelledTree, w: LabelledTree) -> bool:
+        """Whether ``v`` and ``w`` are equivalent."""
+        key = (v, w)
+        if key in self._verdicts:
+            return self._verdicts[key]
+        if v.root != w.root:
+            self._verdicts[key] = False
+            return False
+        basis = self.space.basis
+        good = []
+        for r in basis.down(v.root):
+            q1 = v.piece_over(basis, r)
+            q2 = w.piece_over(basis, r)
+            if q1 is None or q2 is None or v.flag(q1) != w.flag(q2):
+                continue
+            if v.flag(q1) == 1 and not all(
+                self.eq(self.restrict(v.child(q1, n), r), self.restrict(w.child(q2, n), r))
+                for n in range(self.branch)
+            ):
+                continue
+            good.append(r)
+        sieve = Sieve.from_generators(basis, v.root, good)
+        out = self.space.topology.cover(v.root, sieve).covered
+        self._verdicts[key] = out
+        return out
+
+    def classes(self, trees: Iterable[LabelledTree]) -> list:
+        """First-match partition: each class is a list led by its first tree."""
+        classes = []
+        for w in trees:
+            for cls in classes:
+                if self.eq(cls[0], w):
+                    cls.append(w)
+                    break
+            else:
+                classes.append([w])
+        return classes
 
 
 def disjoint_covers(space: FormalSpace, p, cap: int = 4096) -> tuple:
@@ -504,7 +513,7 @@ class BOReport:
         )
 
 
-def bo_sheaf_checks(space: FormalSpace, branch: int, depth: int = 2) -> BOReport:
+def bo_sheaf_checks(quotient: TreeQuotient, depth: int) -> BOReport:
     """Verify the labelled-tree quotient is the expected sheaf of algebras.
 
     Enumerates trees to the given node depth at every basic open, then
@@ -513,17 +522,11 @@ def bo_sheaf_checks(space: FormalSpace, branch: int, depth: int = 2) -> BOReport
     with naturality, injectivity of the join, and that the classes
     generated from leaves by joins and gluing exhaust the quotient.
     """
+    space, branch = quotient.space, quotient.branch
+    eq, down = quotient.eq, quotient.restrict
     basis = space.basis
     elements = basis.elements
     trees_at = {p: enumerate_labelled(space, branch, p, depth) for p in elements}
-    memo: dict = {}
-    restrictions: dict = {}
-
-    def eq(v, w) -> bool:
-        return tree_equiv(space, branch, v, w, memo, restrictions)
-
-    def down(tree, q):
-        return _restricted(space, branch, restrictions, tree, q)
 
     presheaf_failures = []
     for p in elements:
@@ -586,17 +589,7 @@ def bo_sheaf_checks(space: FormalSpace, branch: int, depth: int = 2) -> BOReport
             if eq(j1, j2) and not all(eq(a, b) for a, b in zip(s1, s2)):
                 injectivity_failures.append(("join", p, s1, s2))
 
-    classes_at = {}
-    for p in elements:
-        classes = []
-        for w in trees_at[p]:
-            for cls in classes:
-                if eq(cls[0], w):
-                    cls.append(w)
-                    break
-            else:
-                classes.append([w])
-        classes_at[p] = classes
+    classes_at = {p: quotient.classes(trees_at[p]) for p in elements}
 
     def class_id(p, w) -> int:
         for i, cls in enumerate(classes_at[p]):

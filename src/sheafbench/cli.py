@@ -114,11 +114,10 @@ def _run_force(args: argparse.Namespace):
         verdict = "Holds" if force(model, stage, formula, fuel=args.fuel) else "FailsWithinFuel"
     except FuelExhausted as err:
         verdict = "FuelExhausted"
-        witness = [{"error": type(err).__name__, "detail": str(err)}]
+        witness = [err]
     else:
         witness = []
-    verdicts = [{"check": "force", "verdict": verdict,
-                 "stage": jsonable(stage), "formula": text}]
+    verdicts = [{"check": "force", "verdict": verdict, "stage": stage, "formula": text}]
     return verdicts, witness, verdict == "Holds"
 
 
@@ -166,23 +165,22 @@ def _run_rule(args: argparse.Namespace):
     try:
         transcript, concluded, fields = extract(data, args.fuel)
     except FuelExhausted as err:
-        return [{"check": args.command, "verdict": "FuelExhausted"}], [jsonable(err)], False
+        return [{"check": args.command, "verdict": "FuelExhausted"}], [err], False
     except ValueError as err:
-        return ([{"check": args.command, "verdict": "Fails", "error": type(err).__name__}],
-                [jsonable(err)], False)
+        return [{"check": args.command, "verdict": "Fails", "error": type(err).__name__}], [err], False
     failed = rules.recheck_transcript(transcript, fuel=args.fuel)
     ok = concluded and not failed
     verdicts = [{"check": args.command, "verdict": "Holds" if ok else "Fails",
                  "recheck_failures": list(failed), **fields}]
-    return verdicts, [jsonable(transcript)], ok
+    return verdicts, [transcript], ok
 
 
 def _run_check(args: argparse.Namespace):
     result = CHECK_SUITES[args.suite](args.seed, args.samples)
     verdicts = [{"check": result.name, "verdict": "Holds" if result.passed else "Fails",
                  "passed": result.passed, "checked": result.checked,
-                 "details": jsonable(result.details)}]
-    return verdicts, [jsonable(w) for w in result.witnesses], result.passed
+                 "details": result.details}]
+    return verdicts, result.witnesses, result.passed
 
 
 _RUNNERS = {"force": _run_force, "check": _run_check, **dict.fromkeys(_RULES, _run_rule)}
@@ -207,27 +205,21 @@ def _render(report: dict, ok: bool) -> str:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    report = {"command": args.command, "config": _config(args),
-              "verdicts": [], "witnesses": []}
     try:
         verdicts, witnesses, ok = _RUNNERS[args.command](args)
+        status = 0 if ok else 1
     except (OSError, ValueError) as err:
-        report["verdicts"] = [{"check": args.command, "verdict": "InputError",
-                               "error": type(err).__name__, "detail": str(err)}]
-        text = dump_report(report)
-        if getattr(args, "out", None):
-            with open(args.out, "w", encoding="utf-8") as handle:
-                handle.write(text)
-        print(_render(report, False))
-        return 2
-
-    report["verdicts"] = verdicts
-    report["witnesses"] = witnesses
+        verdicts = [{"check": args.command, "verdict": "InputError",
+                     "error": type(err).__name__, "detail": str(err)}]
+        witnesses, ok, status = [], False, 2
+    # rendered once: the --out text and the printed verdict block both read it
+    report = jsonable({"command": args.command, "config": _config(args),
+                       "verdicts": verdicts, "witnesses": witnesses})
     if getattr(args, "out", None):
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(dump_report(report))
     print(_render(report, ok))
-    return 0 if ok else 1
+    return status
 
 
 if __name__ == "__main__":

@@ -309,6 +309,7 @@ def jsonable(obj):
     return {"repr": repr(obj)}
 
 
-def dump_report(report: Mapping) -> str:
-    """Canonical report text: sorted keys, two-space indent, final newline."""
-    return json.dumps(jsonable(report), sort_keys=True, indent=2) + "\n"
+def dump_report(rendered) -> str:
+    """Canonical text of a :func:`jsonable` rendering: sorted keys,
+    two-space indent, final newline."""
+    return json.dumps(rendered, sort_keys=True, indent=2) + "\n"

@@ -12,7 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from . import rules
-from .brouwer import alt_baire_equiv_check, bo_sheaf_checks, enumerate_labelled, enumerate_trees, tree_equiv
+from .brouwer import TreeQuotient, alt_baire_equiv_check, bo_sheaf_checks, enumerate_labelled, enumerate_trees
 from .double import build_double
 from .forcing import choice_amalgamation, cc_refine, classical_truth, force, standard_model
 from .maps import one_point_space
@@ -440,31 +440,16 @@ def _alt_baire_pairs(branches, depths, **tags) -> tuple:
     return checked, witnesses
 
 
-def _equiv_partition_ok(space, branch: int, depth: int) -> tuple:
-    memo: dict = {}
-    rmemo: dict = {}
-
-    def eq(v, w):
-        return tree_equiv(space, branch, v, w, memo, rmemo)
-
+def _equiv_partition_ok(quotient: TreeQuotient, depth: int) -> tuple:
     mismatches = []
     checked = 0
-    for root in space.basis.elements:
-        trees = enumerate_labelled(space, branch, root, depth)
-        owner = {}
-        reps = []
-        for tree in trees:
-            for rep in reps:
-                if eq(rep, tree):
-                    owner[tree] = rep
-                    break
-            else:
-                reps.append(tree)
-                owner[tree] = tree
+    for root in quotient.space.basis.elements:
+        trees = enumerate_labelled(quotient.space, quotient.branch, root, depth)
+        owner = {w: cls[0] for cls in quotient.classes(trees) for w in cls}
         for v in trees:
             for w in trees:
                 checked += 1
-                if eq(v, w) != (owner[v] is owner[w]):
+                if quotient.eq(v, w) != (owner[v] is owner[w]):
                     mismatches.append((root, v, w))
     return checked, mismatches
 
@@ -474,22 +459,26 @@ def brouwer_suite(max_branch: int = 3, max_depth: int = 3) -> SuiteResult:
     checked, witnesses = _alt_baire_pairs(
         range(2, max_branch + 1), range(1, max_depth + 1), check="alt-baire"
     )
-    eq_checked, mismatches = _equiv_partition_ok(cantor_space(1), 2, 2)
+    # the partition check and the Cantor battery ask the same questions
+    cantor = TreeQuotient(cantor_space(1), 2)
+    eq_checked, mismatches = _equiv_partition_ok(cantor, 2)
     checked += eq_checked
     if mismatches:
         witnesses.append({"check": "tree-equiv", "mismatches": len(mismatches)})
+    double = build_double(cantor_space(1), eventually_constant_points(2, 1))
     battery = (
-        ("one-point", one_point_space(), 2),
-        ("cantor", cantor_space(1), 2),
-        ("double-cantor", build_double(cantor_space(1), eventually_constant_points(2, 1)), 2),
+        ("one-point", TreeQuotient(one_point_space(), 2), 2),
+        ("cantor", cantor, 2),
+        ("double-cantor", TreeQuotient(double, 2), 1),
     )
-    for label, space, branch in battery:
-        report = bo_sheaf_checks(space, branch=branch, depth=2 if label != "double-cantor" else 1)
+    reports = {}
+    for label, quotient, depth in battery:
+        report = reports[label] = bo_sheaf_checks(quotient, depth)
         checked += sum(n for _, n in report.tree_counts)
         if not report.ok:
             witnesses.append({"check": "bo-laws", "space": label,
                               "subalgebra_ok": report.subalgebra_ok})
-    one_point = dict(bo_sheaf_checks(one_point_space(), branch=2, depth=2).class_counts)
+    one_point = dict(reports["one-point"].class_counts)
     if one_point["*"] != len(enumerate_trees(2, 2)):
         witnesses.append({"check": "one-point-bijection", "classes": one_point["*"]})
     return _result("brouwer", checked, witnesses,

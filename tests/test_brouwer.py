@@ -1,11 +1,15 @@
 """Ordinal trees, the alternative cover presentation, and the labelled-tree sheaf."""
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from brouwer_oracle import tree_cover_test as recomputing_tree_cover_test
+from sheafbench import brouwer, suites
 from sheafbench.brouwer import (
     LEAF,
     AltBaireReport,
     BrouwerTree,
     NotBelowRoot,
+    TreeQuotient,
     alt_baire_equiv_check,
     bo_sheaf_checks,
     disjoint_covers,
@@ -19,7 +23,6 @@ from sheafbench.brouwer import (
     sup_at,
     sup_star,
     tree_cover_test,
-    tree_equiv,
 )
 from sheafbench.double import build_double
 from sheafbench.maps import STAR, one_point_space
@@ -33,13 +36,10 @@ def sup(children) -> BrouwerTree:
     return BrouwerTree(tuple(children))
 
 
-def _pair(space, branch=2):
-    memo, rmemo = {}, {}
-
-    def eq(v, w):
-        return tree_equiv(space, branch, v, w, memo, rmemo)
-
-    return eq
+def _images(space, u) -> tuple:
+    """``(tree, k_map(tree))`` for every tree the open ``u`` has depth left for."""
+    trees = enumerate_trees(space.branch, space.depth - len(u))
+    return tuple((t, k_map(t, space.branch)) for t in trees)
 
 
 # ------------------------------------------------------------- ordinal trees
@@ -91,19 +91,31 @@ def test_child_family_sieve_is_covered_with_a_depth_one_tree():
     space = baire_space(2, 2)
     sieve = Sieve.from_generators(space.basis, (), ((0,), (1,)))
     assert space.topology.cover((), sieve).covered
-    assert tree_cover_test(space, (), sieve) == sup((LEAF, LEAF))
+    assert tree_cover_test((), sieve, _images(space, ())) == sup((LEAF, LEAF))
 
 
 def test_maximal_sieve_is_witnessed_by_the_leaf():
     space = baire_space(2, 2)
-    assert tree_cover_test(space, (), Sieve.maximal(space.basis, ())) is LEAF
+    assert tree_cover_test((), Sieve.maximal(space.basis, ()), _images(space, ())) is LEAF
 
 
 def test_one_sided_sieve_has_no_tree_witness():
     space = baire_space(2, 2)
     sieve = Sieve.from_generators(space.basis, (), ((0,),))
     assert not space.topology.cover((), sieve).covered
-    assert tree_cover_test(space, (), sieve) is None
+    assert tree_cover_test((), sieve, _images(space, ())) is None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.sampled_from([2, 3]), st.integers(0, 3))
+def test_tree_cover_test_on_images_agrees_with_the_recomputing_oracle(data, branch, depth):
+    space = baire_space(branch, depth)
+    u = data.draw(st.sampled_from(space.basis.elements))
+    below = space.basis.down(u)
+    gens = data.draw(st.lists(st.sampled_from(below), max_size=len(below)))
+    sieve = Sieve.from_generators(space.basis, u, gens)
+    images = _images(space, u)
+    assert tree_cover_test(u, sieve, images) == recomputing_tree_cover_test(space, u, sieve)
 
 
 @pytest.mark.parametrize("branch,depth", [(2, 1), (2, 2), (3, 2), (2, 3)])
@@ -151,7 +163,7 @@ def test_restricting_a_leaf_tree_gives_the_leaf_tree():
 
 def test_restriction_to_the_root_is_the_identity_up_to_equivalence():
     space = cantor_space(1)
-    eq = _pair(space)
+    eq = TreeQuotient(space, 2).eq
     for tree in enumerate_labelled(space, 2, (), 2):
         assert eq(restrict_tree(space, 2, tree, ()), tree)
 
@@ -167,7 +179,7 @@ def test_restriction_descends_into_subtrees():
     expected = sup_at(
         space, 2, (0,), (sup_star(space, 2, (0,)), sup_star(space, 2, (0,)))
     )
-    assert tree_equiv(space, 2, restricted, expected)
+    assert TreeQuotient(space, 2).eq(restricted, expected)
 
 
 def test_restriction_of_a_two_level_tree_matches_a_hand_built_one():
@@ -184,14 +196,15 @@ def test_restriction_of_a_two_level_tree_matches_a_hand_built_one():
         space, 2, (0,), ((0,),), (1,),
         {((0,), 0): deep, ((0,), 1): sup_star(space, 2, (0,))},
     )
-    assert tree_equiv(space, 2, restricted, expected)
+    assert TreeQuotient(space, 2).eq(restricted, expected)
     with pytest.raises(NotBelowRoot):
         restrict_tree(space, 2, deep, (1,))
 
 
 def test_equivalence_matches_partition_membership_exhaustively():
     space = cantor_space(1)
-    eq = _pair(space)
+    quotient = TreeQuotient(space, 2)
+    eq = quotient.eq
     for root in space.basis.elements:
         trees = enumerate_labelled(space, 2, root, 2)
         reps = []
@@ -207,6 +220,7 @@ def test_equivalence_matches_partition_membership_exhaustively():
         for v in trees:
             for w in trees:
                 assert eq(v, w) == (owner[v] is owner[w])
+        assert [cls[0] for cls in quotient.classes(trees)] == reps
 
 
 def test_refining_a_piece_preserves_equivalence_but_not_identity():
@@ -214,19 +228,19 @@ def test_refining_a_piece_preserves_equivalence_but_not_identity():
     coarse = sup_star(space, 2, ())
     fine = labelled_tree(space, 2, (), ((0,), (1,)), (0, 0))
     assert coarse != fine
-    assert tree_equiv(space, 2, coarse, fine)
+    assert TreeQuotient(space, 2).eq(coarse, fine)
 
 
 def test_flag_disagreement_breaks_equivalence():
     space = cantor_space(1)
     leaf = sup_star(space, 2, ())
     join = sup_at(space, 2, (), (leaf, leaf))
-    assert not tree_equiv(space, 2, leaf, join)
+    assert not TreeQuotient(space, 2).eq(leaf, join)
 
 
 def test_amalgamation_of_leaf_and_join_parts_is_unique():
     space = cantor_space(1)
-    eq = _pair(space)
+    eq = TreeQuotient(space, 2).eq
     left = sup_star(space, 2, (0,))
     right = sup_at(
         space, 2, (1,), (sup_star(space, 2, (1,)), sup_star(space, 2, (1,)))
@@ -264,7 +278,7 @@ def test_join_arity_is_checked():
 
 def test_one_point_space_trees_are_plain_ordinal_trees():
     space = one_point_space()
-    report = bo_sheaf_checks(space, branch=2, depth=2)
+    report = bo_sheaf_checks(TreeQuotient(space, 2), 2)
     assert report.ok
     counts = dict(report.class_counts)
     assert counts[STAR] == len(enumerate_trees(2, 2)) == 5
@@ -273,7 +287,7 @@ def test_one_point_space_trees_are_plain_ordinal_trees():
 
 def test_labelled_tree_laws_hold_over_truncated_cantor():
     space = cantor_space(1)
-    report = bo_sheaf_checks(space, branch=2, depth=2)
+    report = bo_sheaf_checks(TreeQuotient(space, 2), 2)
     assert report.ok
     assert report.subalgebra_ok
     assert dict(report.tree_counts)[()] == 107
@@ -283,6 +297,35 @@ def test_labelled_tree_laws_hold_over_truncated_cantor():
 def test_labelled_tree_laws_hold_over_the_double():
     inner = cantor_space(1)
     double = build_double(inner, eventually_constant_points(2, 1))
-    report = bo_sheaf_checks(double, branch=2, depth=1)
+    report = bo_sheaf_checks(TreeQuotient(double, 2), 1)
     assert report.ok
     assert report.subalgebra_ok
+
+
+def test_brouwer_suite_runs_one_battery_per_space_on_a_shared_cantor_quotient(monkeypatch):
+    # each battery run is one phase; the partition check runs before the first
+    runs, restricted = [], [set()]
+    nesting = [0]
+    battery, restrict = suites.bo_sheaf_checks, brouwer.restrict_tree
+
+    def counted_battery(*args, **kwargs):
+        runs.append(args)
+        restricted.append(set())
+        return battery(*args, **kwargs)
+
+    def outermost_restrict(space, branch, tree, q):
+        if nesting[0] == 0:
+            restricted[-1].add((tree, q))
+        nesting[0] += 1
+        try:
+            return restrict(space, branch, tree, q)
+        finally:
+            nesting[0] -= 1
+
+    monkeypatch.setattr(suites, "bo_sheaf_checks", counted_battery)
+    monkeypatch.setattr(brouwer, "restrict_tree", outermost_restrict)
+    assert suites.brouwer_suite(max_branch=2, max_depth=1).passed
+    assert len(runs) == 3
+    partition, cantor = restricted[0], restricted[2]
+    assert partition and cantor
+    assert partition.isdisjoint(cantor)

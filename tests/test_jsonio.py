@@ -9,6 +9,7 @@ from sheafbench.jsonio import (
     InputError,
     bar_from_json,
     dump_report,
+    jsonable,
     load_json,
     parse_element,
     rel_from_json,
@@ -153,7 +154,7 @@ def test_load_json_reads_files(tmp_path):
 
 
 def _shape(obj):
-    return json.loads(dump_report(obj))
+    return json.loads(dump_report(jsonable(obj)))
 
 
 def test_jsonable_canonicalizes_opens_points_and_sets():
@@ -177,7 +178,7 @@ def test_jsonable_renders_transcripts_as_nested_arrays():
 
 
 def test_dump_report_is_order_insensitive():
-    a = dump_report({"b": {1, 3, 2}, "a": Point((), 0)})
-    b = dump_report({"a": Point((), 0), "b": {3, 2, 1}})
+    a = dump_report(jsonable({"b": {1, 3, 2}, "a": Point((), 0)}))
+    b = dump_report(jsonable({"a": Point((), 0), "b": {3, 2, 1}}))
     assert a == b
     assert a.endswith("\n")
