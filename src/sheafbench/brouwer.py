@@ -152,9 +152,7 @@ def _sieve_family(space: TruncatedSpace, u, images, cap: int) -> list:
     return out
 
 
-def alt_baire_equiv_check(
-    branch: int, depth: int, sieve_cap: int = 160, combo_cap: int = 64
-) -> AltBaireReport:
+def alt_baire_equiv_check(branch: int, depth: int) -> AltBaireReport:
     """Exhaustively compare the two cover presentations at a truncation.
 
     For every basic open and a deterministic family of sieves on it, the
@@ -175,7 +173,7 @@ def alt_baire_equiv_check(
     checked = 0
     for u in space.basis.elements:
         images = images_by_budget[depth - len(u)]
-        for sieve in _sieve_family(space, u, images, sieve_cap):
+        for sieve in _sieve_family(space, u, images, 160):
             checked += 1
             covered = space.topology.cover(u, sieve).covered
             witness = tree_cover_test(u, sieve, images)
@@ -187,7 +185,7 @@ def alt_baire_equiv_check(
     for tree, image in images_by_budget[max(0, depth - 1)]:
         leaves = sorted(image, key=element_key)
         options = [images_by_budget[depth - len(w)] for w in leaves]
-        for combo in itertools.islice(itertools.product(*options), combo_cap):
+        for combo in itertools.islice(itertools.product(*options), 64):
             grafts = {w: t for w, (t, _) in zip(leaves, combo)}
             union = frozenset(
                 w + x for w, (_, sub) in zip(leaves, combo) for x in sub
@@ -386,7 +384,7 @@ class TreeQuotient:
 
     def eq(self, v: LabelledTree, w: LabelledTree) -> bool:
         """Whether ``v`` and ``w`` are equivalent."""
-        key = (v, w)
+        key = frozenset((v, w))
         if key in self._verdicts:
             return self._verdicts[key]
         if v.root != w.root:
@@ -423,11 +421,15 @@ class TreeQuotient:
         return classes
 
 
-def disjoint_covers(space: FormalSpace, p, cap: int = 4096) -> tuple:
+# Most subsets of a fragment ``disjoint_covers`` may enumerate.
+MAX_FRAGMENT_SUBSETS = 4096
+
+
+def disjoint_covers(space: FormalSpace, p) -> tuple:
     """All disjoint families below ``p`` whose downset covers it."""
     basis = space.basis
     fragment = basis.down(p)
-    if 2 ** len(fragment) > cap:
+    if 2 ** len(fragment) > MAX_FRAGMENT_SUBSETS:
         raise ValueError(f"fragment below {p!r} too large to enumerate")
     out = []
     for size in range(1, len(fragment) + 1):

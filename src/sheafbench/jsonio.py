@@ -2,9 +2,11 @@
 
 Space descriptions, bars, and relation tables are plain JSON documents;
 the loaders here turn them into the library's objects and validate as they
-go.  ``jsonable`` converts arbitrary result objects (transcripts, sieves,
-reports) into JSON-ready structures with a deterministic layout, so a run
-with a fixed seed always serializes byte-identically.
+go.  Spaces are the truncated Cantor and Baire trees and their doubles,
+the only spaces the commands run on.  ``jsonable`` converts arbitrary
+result objects (transcripts, sieves, reports) into JSON-ready structures
+with a deterministic layout, so a run with a fixed seed always serializes
+byte-identically.
 """
 from __future__ import annotations
 
@@ -14,14 +16,7 @@ from typing import Mapping
 
 from .double import DOpen, DoubleSpace, SingletonOpen, build_double
 from .points import Point, eventually_constant_points
-from .site import (
-    Basis,
-    CoveringSystem,
-    FormalSpace,
-    Sieve,
-    UnknownElement,
-    generate_topology,
-)
+from .site import FormalSpace, Sieve, UnknownElement
 from .spaces import Bar, TruncatedSpace, baire_space, bar_from_generators, cantor_space
 
 
@@ -53,12 +48,12 @@ def _require(data: Mapping, key: str, where: str):
     return data[key]
 
 
-def _int(data: Mapping, key: str, where: str, default=None, minimum=1) -> int:
+def _int(data: Mapping, key: str, where: str, default=None) -> int:
     got = data.get(key, default)
     if got is None:
         raise InputError(f"{where}: missing required key {key!r}")
-    if not isinstance(got, int) or isinstance(got, bool) or got < minimum:
-        raise InputError(f"{where}: {key} must be an integer >= {minimum}")
+    if not isinstance(got, int) or isinstance(got, bool) or got < 1:
+        raise InputError(f"{where}: {key} must be an integer >= 1")
     return got
 
 
@@ -92,15 +87,6 @@ def _basis_size(data: Mapping) -> int:
     return size
 
 
-def _names(values, where: str) -> tuple:
-    """A JSON list of element names: strings or integers."""
-    if not all(
-        isinstance(v, (str, int)) and not isinstance(v, bool) for v in _list(values, where)
-    ):
-        raise InputError(f"{where}: expected a list of strings or integers")
-    return tuple(values)
-
-
 def _seq(values, where: str) -> tuple:
     """A JSON list of integers: a finite sequence."""
     if not all(isinstance(v, int) and not isinstance(v, bool) for v in _list(values, where)):
@@ -111,41 +97,21 @@ def _seq(values, where: str) -> tuple:
 def space_from_json(data: Mapping) -> FormalSpace:
     """Build a space from its JSON description.
 
-    Kinds: ``cantor`` (depth), ``baire`` (branch, depth), ``double``
-    (inner space plus ``max_prefix`` for the point family), and ``finite``
-    (explicit elements, order pairs, covering families).
+    Kinds: ``cantor`` (depth), ``baire`` (branch, depth), and ``double``
+    (inner space plus ``max_prefix`` for the point family).
     """
     kind = _require(data, "kind", "space")
-    if kind in ("cantor", "baire", "double") and _basis_size(data) > MAX_ELEMENTS:
+    if kind not in ("cantor", "baire", "double"):
+        raise InputError(f"space: unknown kind {kind!r}")
+    if _basis_size(data) > MAX_ELEMENTS:
         raise InputError(f"space: more than {MAX_ELEMENTS} elements requested")
     if kind == "cantor":
         return cantor_space(_int(data, "depth", "space"))
     if kind == "baire":
         return baire_space(_int(data, "branch", "space"), _int(data, "depth", "space"))
-    if kind == "double":
-        inner = space_from_json(data["inner"])
-        max_prefix = _int(data, "max_prefix", "space", default=1)
-        return build_double(inner, eventually_constant_points(inner.branch, max_prefix))
-    if kind == "finite":
-        elements = _names(_require(data, "elements", "space"), "space: elements")
-        if len(set(elements)) != len(elements):
-            raise InputError("space: elements must be distinct")
-        pairs = {
-            _names(pair, "space: leq entry") for pair in _list(data.get("leq", []), "space: leq")
-        }
-        if not all(len(pair) == 2 and set(pair) <= set(elements) for pair in pairs):
-            raise InputError("space: leq entries must be pairs of elements")
-        basis = Basis.from_pairs(elements, pairs)
-        table = {
-            a: tuple(_names(fam, "space: covers") for fam in _list(fams, "space: covers"))
-            for a, fams in _object(data.get("covers", {}), "space: covers").items()
-        }
-        try:
-            topology = generate_topology(CoveringSystem(basis, table))
-        except (UnknownElement, ValueError) as exc:
-            raise InputError(f"space: {exc}") from None
-        return FormalSpace(basis, topology, topology.system)
-    raise InputError(f"space: unknown kind {kind!r}")
+    inner = space_from_json(data["inner"])
+    max_prefix = _int(data, "max_prefix", "space", default=1)
+    return build_double(inner, eventually_constant_points(inner.branch, max_prefix))
 
 
 def _tree_elements(space: TruncatedSpace, values, what: str) -> set:
@@ -170,7 +136,7 @@ def bar_from_json(data: Mapping) -> Bar:
         if not monotone:
             raise InputError("bar: generator form always yields a monotone bar")
         gens = _tree_elements(space, data["generators"], "generator")
-        return bar_from_generators(space, gens, monotone=True, inductive=inductive)
+        return bar_from_generators(space, gens, inductive=inductive)
     members = _tree_elements(space, _require(data, "members", "bar"), "member")
     return Bar(space, members.__contains__, monotone=monotone, inductive=inductive)
 

@@ -67,18 +67,19 @@ class MapCheck:
     failures: tuple  # (condition number, witness) pairs
 
 
-def check_continuous_map(fmap: ContinuousMap, max_failures: int = 8) -> MapCheck:
+def check_continuous_map(fmap: ContinuousMap) -> MapCheck:
     """Test all five conditions on the enumerated data.
 
     Condition 4 is quantified over the target's covering families, which
-    generate its covers; the other conditions are checked outright.
+    generate its covers; the other conditions are checked outright.  The
+    check stops at the eighth failure.
     """
     src, tgt = fmap.source, fmap.target
     failures = []
 
     def report(cond, witness) -> bool:
         failures.append((cond, witness))
-        return len(failures) >= max_failures
+        return len(failures) >= 8
 
     for (p, q) in fmap.sorted_pairs():
         for p2 in src.basis.down(p):

@@ -66,7 +66,7 @@ def random_monotone_bar(rng: random.Random, space: TruncatedSpace) -> Bar:
     for leaf in space.leaves():
         if not any(leaf[: len(g)] == g for g in gens):
             gens.add(leaf)
-    return bar_from_generators(space, gens, monotone=True)
+    return bar_from_generators(space, gens)
 
 
 # quantifier sorts, drawn uniformly (the repeat doubles the weight of Nat),

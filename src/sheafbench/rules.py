@@ -417,8 +417,9 @@ def _recheck_bar(transcript: ExtractionTranscript, fuel: int | None = None) -> t
         failed.append("induction")
 
     oracle = transcript.stage("closure-oracle")
-    step, _ = inductive_closure_steps(space, oracle["base"])
-    if step != oracle["root_step"] or step is None:
+    base = frozenset(v for v in space.leaves() if bar.holds(v))
+    step, _ = inductive_closure_steps(space, base)
+    if oracle["base"] != base or step != oracle["root_step"] or step is None:
         failed.append("closure-oracle")
     return tuple(failed)
 
@@ -521,11 +522,10 @@ def _recheck_continuity(transcript: ExtractionTranscript, fuel: int | None = Non
         failed.append("total")
     images = {q: table[q] for q in points if q in table}
 
-    recorded = transcript.stage("modulus")["table"]
-    for (alpha, k), m in recorded.items():
-        if _modulus_at(points, images, alpha, k, depth) != m:
-            failed.append("modulus")
-            break
+    derived = {(alpha, k): _modulus_at(points, images, alpha, k, depth)
+               for alpha in points for k in range(depth + 1)}
+    if transcript.stage("modulus")["table"] != derived:
+        failed.append("modulus")
 
     double, model = _table_model(space, images)
     formula = F.parse_formula(UNIQUE_IMAGE)

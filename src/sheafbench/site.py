@@ -434,15 +434,6 @@ class GeneratedTopology(Topology):
         return build(a)
 
 
-def generate_topology(system: CoveringSystem) -> GeneratedTopology:
-    """Build the generated topology of a covering system, axiom checked first.
-
-    For data from outside; systems built by a fixed formula skip the check.
-    """
-    system.validate()
-    return GeneratedTopology(system)
-
-
 @dataclass(frozen=True)
 class InductionTranscript:
     """Replayable record of a cover induction run."""

@@ -225,22 +225,20 @@ class Bar:
 def bar_from_generators(
     space: TruncatedSpace,
     generators: Iterable[Seq],
-    monotone: bool = True,
     inductive: bool = False,
 ) -> Bar:
-    """Bar whose predicate is "lies below some generator"."""
+    """Bar whose predicate is "lies below some generator", monotone by construction."""
     gens = {tuple(g) for g in generators}
     members = Sieve.from_generators(space.basis, (), gens).members
-    return Bar(space, members.__contains__, monotone=monotone, inductive=inductive)
+    return Bar(space, members.__contains__, inductive=inductive)
 
 
-def bar_to_sieve(bar: Bar, root: Seq = ()) -> Sieve:
-    """Sieve of all elements below ``root`` satisfying the bar predicate.
+def bar_to_sieve(bar: Bar) -> Sieve:
+    """Sieve on the root of all elements satisfying the bar predicate.
 
     Generators are the maximal satisfying elements, so for a monotone bar the
-    sieve's membership agrees with the predicate on the whole fragment.
+    sieve's membership agrees with the predicate on the whole space.
     """
     basis = bar.space.basis
-    basis.require(root)
-    hits = [u for u in basis.down(root) if bar.holds(u)]
-    return Sieve.from_generators(basis, root, hits)
+    hits = [u for u in basis.elements if bar.holds(u)]
+    return Sieve.from_generators(basis, (), hits)

@@ -47,8 +47,7 @@ def _result(name, checked, witnesses, **details) -> SuiteResult:
 # ------------------------------------------------------------------ topology
 
 
-def topology_suite(seed: int = 0, samples: int = 200, max_size: int = 8,
-                   sieve_cap: int = 16) -> SuiteResult:
+def topology_suite(seed: int = 0, samples: int = 200, max_size: int = 8) -> SuiteResult:
     """Random covering systems must generate topologies satisfying the axioms."""
     rng = random.Random(seed)
     witnesses = []
@@ -57,7 +56,7 @@ def topology_suite(seed: int = 0, samples: int = 200, max_size: int = 8,
         basis = random_preorder(rng, rng.randint(1, max_size))
         system = random_covering_system(rng, basis)
         space = FormalSpace(basis, GeneratedTopology(system), system)
-        report = check_topology_axioms(space, sieve_cap=sieve_cap)
+        report = check_topology_axioms(space, sieve_cap=16)
         checked += report.checked
         if not report.ok:
             witnesses.append(
@@ -88,7 +87,7 @@ def compactness_suite(depth: int = 4, generator_len: int = 3) -> SuiteResult:
     checked = 0
     for bits in itertools.product((0, 1), repeat=len(level)):
         gens = {u for u, bit in zip(level, bits) if bit}
-        bar = bar_from_generators(space, gens, monotone=True)
+        bar = bar_from_generators(space, gens)
         sieve = bar_to_sieve(bar)
         verdict = space.topology.cover((), sieve)
         brute = rules.least_uniform_depth(bar)
@@ -113,30 +112,31 @@ def compactness_suite(depth: int = 4, generator_len: int = 3) -> SuiteResult:
 # ----------------------------------------------------------------- forcing
 
 
-def _double_cantor_model(depth: int = 3, n_max: int = 8, max_prefix: int = 1):
-    inner = cantor_space(depth)
-    double = build_double(inner, eventually_constant_points(2, max_prefix))
-    bar = bar_from_generators(
-        inner, [u for u in inner.basis.elements if len(u) == 2], monotone=True
-    )
-    return double, standard_model(double, bar=bar, n_max=n_max)
+# Nat ranges below this bound in the forcing and truth suites' model and formulas
+_N_MAX = 8
 
 
-def forcing_suite(seed: int = 0, samples: int = 200, depth: int = 3,
-                  n_max: int = 8, formula_depth: int = 4) -> SuiteResult:
+def _double_cantor_model():
+    inner = cantor_space(3)
+    double = build_double(inner, eventually_constant_points(2, 1))
+    bar = bar_from_generators(inner, [u for u in inner.basis.elements if len(u) == 2])
+    return double, standard_model(double, bar=bar, n_max=_N_MAX)
+
+
+def forcing_suite(seed: int = 0, samples: int = 200) -> SuiteResult:
     """Monotonicity and local character of forcing over the Cantor double.
 
     For each random formula the forced zone is computed at every stage;
     the zone must be downward closed, and any stage covered by its forced
     part below must itself be in the zone.
     """
-    double, model = _double_cantor_model(depth, n_max)
+    double, model = _double_cantor_model()
     basis = double.basis
     rng = random.Random(seed)
     witnesses = []
     checked = 0
     for index in range(samples):
-        formula = random_formula(rng, rng.randint(1, formula_depth), n_max=n_max)
+        formula = random_formula(rng, rng.randint(1, 4), n_max=_N_MAX)
         zone = {a for a in basis.elements if force(model, a, formula)}
         for a in zone:
             for b in basis.down(a):
@@ -155,12 +155,11 @@ def forcing_suite(seed: int = 0, samples: int = 200, depth: int = 3,
     return _result("forcing", checked, witnesses, formulas=samples)
 
 
-def truth_suite(seed: int = 0, samples: int = 200, depth: int = 3,
-                n_max: int = 8) -> SuiteResult:
+def truth_suite(seed: int = 0, samples: int = 200) -> SuiteResult:
     """Forcing at a singleton stage must coincide with truth along the point."""
-    double, model = _double_cantor_model(depth, n_max)
+    double, model = _double_cantor_model()
     rng = random.Random(seed)
-    formulas = [random_formula(rng, rng.randint(1, 4), n_max=n_max) for _ in range(samples)]
+    formulas = [random_formula(rng, rng.randint(1, 4), n_max=_N_MAX) for _ in range(samples)]
     witnesses = []
     checked = 0
     for q in double.points:
@@ -264,19 +263,19 @@ def _modulus_is_valid(points, table, alpha: Point, k: int, m: int) -> bool:
     )
 
 
-def continuity_suite(seed: int = 0, branch: int = 2, depth: int = 3,
-                     random_tables: int = 10, discontinuous: int = 5) -> SuiteResult:
+def continuity_suite(seed: int = 0) -> SuiteResult:
     """Continuity extractions on named, random-continuous, and broken tables."""
     rng = random.Random(seed)
-    space = baire_space(branch, depth)
-    points = eventually_constant_points(branch, depth + 1)
+    depth = 3
+    space = baire_space(2, depth)
+    points = eventually_constant_points(2, depth + 1)
     named = [
         ("identity", {q: q for q in points}),
         ("shift", {q: (Point(q.prefix[1:], q.tail) if q.prefix else q) for q in points}),
     ]
     generated = [
         (f"random-{i}", _random_continuous_table(rng, points, depth))
-        for i in range(random_tables)
+        for i in range(10)
     ]
     witnesses = []
     checked = 0
@@ -298,7 +297,8 @@ def continuity_suite(seed: int = 0, branch: int = 2, depth: int = 3,
         if not matches or failed or bad_modulus or any(k > depth for _, k in modulus):
             witnesses.append({"table": label, "recheck": failed,
                               "bad_modulus": bad_modulus, "matches": matches})
-    for label, table in _discontinuous_tables(points)[:discontinuous]:
+    broken = _discontinuous_tables(points)
+    for label, table in broken:
         checked += 1
         try:
             rules.continuity_rule(table, space)
@@ -306,7 +306,7 @@ def continuity_suite(seed: int = 0, branch: int = 2, depth: int = 3,
             continue
         witnesses.append({"table": label, "error": "NoModulus not raised"})
     return _result("continuity", checked, witnesses,
-                   tables=len(named) + random_tables, broken=discontinuous)
+                   tables=len(named) + len(generated), broken=len(broken))
 
 
 # ------------------------------------------------------------------- sheaves
@@ -331,8 +331,7 @@ def _budgeted(presheaf, budget: int) -> tuple:
     )
 
 
-def sheaf_suite(depth: int = 3, n_max: int = 2, budget: int = 512,
-                sieve_cap: int = 8) -> SuiteResult:
+def sheaf_suite(depth: int = 3, budget: int = 512) -> SuiteResult:
     """Sheaf laws for the value sheaves over the four standard spaces.
 
     Elements are included while their section count stays within the
@@ -345,7 +344,7 @@ def sheaf_suite(depth: int = 3, n_max: int = 2, budget: int = 512,
     for space_label, space in _standard_spaces(depth):
         # derived_sheaves checks positivity for all six
         derived = derived_sheaves(space)
-        nat = ConstantPresheaf(space, tuple(range(n_max)), space_atoms(space), label="nat")
+        nat = ConstantPresheaf(space, (0, 1), space_atoms(space), label="nat")
         sheaves = {"nat": nat, **derived}
         for sheaf_label, presheaf in sheaves.items():
             elems = _budgeted(presheaf, budget)
@@ -353,7 +352,7 @@ def sheaf_suite(depth: int = 3, n_max: int = 2, budget: int = 512,
                 witnesses.append({"space": space_label, "sheaf": sheaf_label,
                                   "error": "no elements within budget"})
                 continue
-            report = sheaf_check(presheaf, elements=elems, sieve_cap=sieve_cap)
+            report = sheaf_check(presheaf, elements=elems, sieve_cap=8)
             checked += report.checked_laws + sum(
                 len(space.system.families_at(a)) for a in elems)
             if not report.ok:
@@ -382,17 +381,16 @@ def sheaf_suite(depth: int = 3, n_max: int = 2, budget: int = 512,
 # ---------------------------------------------------------------- cc/choice
 
 
-def cc_suite(seed: int = 0, samples: int = 100, depth: int = 2,
-             sieve_cap: int = 256, n_max: int = 2) -> SuiteResult:
+def cc_suite(seed: int = 0, samples: int = 100) -> SuiteResult:
     """Disjoint refinement on every enumerated cover, then sampled gluings."""
     witnesses = []
     checked = 0
-    spaces = _standard_spaces(depth)
+    spaces = _standard_spaces(2)
     refinements = []
     for label, space in spaces:
         basis = space.basis
         for a in basis.elements:
-            for sieve in sieves_on(basis, a, cap=sieve_cap):
+            for sieve in sieves_on(basis, a, cap=256):
                 if not space.topology.cover(a, sieve).covered:
                     continue
                 checked += 1
@@ -410,8 +408,8 @@ def cc_suite(seed: int = 0, samples: int = 100, depth: int = 2,
                 else:
                     refinements.append((label, space, a, refined))
     rng = random.Random(seed)
-    values = tuple(range(n_max))
-    sheaves = {label: nat_sheaf(space, n_max) for label, space in spaces}
+    values = (0, 1)
+    sheaves = {label: nat_sheaf(space, len(values)) for label, space in spaces}
     for _ in range(samples):
         label, space, a, refined = rng.choice(refinements)
         witnesses_map = {r: rng.choice(values) for r in refined}
@@ -488,14 +486,14 @@ def brouwer_suite(max_branch: int = 3, max_depth: int = 3) -> SuiteResult:
 # --------------------------------------------------------- set compactness
 
 
-def setcompact_suite(seed: int = 0, samples: int = 100, max_carrier: int = 6) -> SuiteResult:
+def setcompact_suite(seed: int = 0, samples: int = 100) -> SuiteResult:
     """Minimal witnesses for random inductive definitions, brute re-verified."""
     rng = random.Random(seed)
     witnesses = []
     checked = 0
     produced = 0
     while produced < samples:
-        size = rng.randint(1, max_carrier)
+        size = rng.randint(1, 6)
         carrier = tuple(f"c{i}" for i in range(size))
         rules_list = []
         for _ in range(rng.randint(0, 2 * size)):

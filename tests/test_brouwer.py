@@ -238,6 +238,26 @@ def test_flag_disagreement_breaks_equivalence():
     assert not TreeQuotient(space, 2).eq(leaf, join)
 
 
+def test_equivalence_is_computed_once_per_unordered_pair(monkeypatch):
+    # the verdict is symmetric, so eq(w, v) reads what eq(v, w) stored
+    space = cantor_space(1)
+    trees = enumerate_labelled(space, 2, (), 1)
+    restrict, calls = brouwer.restrict_tree, []
+
+    def counted_restrict(*args):
+        calls.append(args)
+        return restrict(*args)
+
+    monkeypatch.setattr(brouwer, "restrict_tree", counted_restrict)
+    for v in trees:
+        for w in trees:
+            quotient = TreeQuotient(space, 2)
+            verdict = quotient.eq(v, w)
+            stored, restricted = len(quotient._verdicts), len(calls)
+            assert quotient.eq(w, v) == verdict
+            assert (len(quotient._verdicts), len(calls)) == (stored, restricted)
+
+
 def test_amalgamation_of_leaf_and_join_parts_is_unique():
     space = cantor_space(1)
     eq = TreeQuotient(space, 2).eq

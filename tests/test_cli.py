@@ -217,6 +217,8 @@ _POINT = {"prefix": [], "tail": 0}
 
 
 @pytest.mark.parametrize("command, document", [
+    # spaces are trees or their doubles: an explicit finite order is an unknown
+    # kind, so each malformed finite document below is refused on its kind alone
     ("force", {"kind": "finite", "elements": ["a", "b"], "leq": [["zz", "a"]]}),
     ("force", {"kind": "finite", "elements": [[0], [1]]}),
     ("force", {"kind": "cantor", "depth": True}),
@@ -237,14 +239,16 @@ _POINT = {"prefix": [], "tail": 0}
              "monotone": "false"}),
     ("fan", {"space": _cantor(2), "generators": [[0], [1]], "inductive": "false"}),
     ("fan", {"space": _cantor(2), "generators": [[]], "inductive": "true"}),
-    # b lies below a and carries no family, so a's family {b} does not restrict to b
     ("force", {"kind": "finite", "elements": ["a", "b"], "leq": [["b", "a"]],
                "covers": {"a": [["b"]]}}),
+    # a well-formed finite order is refused all the same
+    ("force", {"kind": "finite", "elements": ["a", "b"], "leq": [["b", "a"]]}),
 ], ids=["unknown-leq-element", "list-elements", "boolean-depth", "over-size-limit",
         "number-space", "number-leq", "list-covers", "list-bar", "number-generator",
         "generator-outside-space", "number-members", "list-rel", "number-table-entry",
         "number-point-prefix", "boolean-point-tail", "string-monotone-flag",
-        "string-inductive-flag", "string-true-flag", "covering-axiom-violation"])
+        "string-inductive-flag", "string-true-flag", "covering-axiom-violation",
+        "finite-kind"])
 def test_malformed_spaces_exit_2_without_a_traceback(command, document, tmp_path, capsys):
     path = _write(tmp_path / "input.json", document)
     formula = tmp_path / "f.txt"

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import forcing_oracle
+from order_oracle import generate_topology
 from point_oracle import double_point_family, family_through, scan_observation, scan_through
 from sheafbench.double import build_double
 from sheafbench.forcing import (
@@ -42,7 +43,6 @@ from sheafbench.site import (
     CoveringSystem,
     NotACover,
     Sieve,
-    generate_topology,
 )
 from sheafbench.spaces import baire_space, bar_from_generators, cantor_space
 
@@ -54,7 +54,7 @@ def _double(depth=2, max_prefix=1):
 
 def _bar_model(dbl, *gens, **kwargs):
     inner = dbl.inner
-    bar = bar_from_generators(inner, gens, monotone=True)
+    bar = bar_from_generators(inner, gens)
     return standard_model(dbl, bar=bar, **kwargs)
 
 

@@ -121,6 +121,31 @@ GOLDEN = {
         "5567edf266df0f72109aca748b751a35447d99f822529acb0593fd2433bb41c0",
         "b4c6d2e3b2e17bd4716fb55050ad5269bdde236300dd4ac5557533bd879dd8be",
     ),
+    "check-cc": (
+        ["check", "cc", "--seed", "5", "--samples", "5"], 0,
+        "68bd21024d1e06785e54aeb1e585acf45b0ae5d458c6965d9befaef64908bf4a",
+        "823a6abadd7853d4f4e074aa61556136782fb87e5e287e180be8e67cf112eb97",
+    ),
+    "check-compactness": (
+        ["check", "compactness"], 0,
+        "67bfc18637982b7c97b3f70709e2206257a577f8c075d48237631720ab3cb951",
+        "c20f7aea1d87f570a9f5da0c2da789edcc23c7d4c3022f43bc3275cf13f52f7a",
+    ),
+    "check-setcompact": (
+        ["check", "setcompact", "--seed", "5", "--samples", "5"], 0,
+        "c8ee6d11fcbc9bbdd124518a616eeaf614979f2c4f0fc8d56f56e5ebcfe46442",
+        "ae12008aba8a7821466786be33052f0acc43eac54ef94c8904779a1b087562bf",
+    ),
+    "check-fan": (
+        ["check", "fan", "--seed", "5", "--samples", "5"], 0,
+        "85fec682674d5d74901a3cc50b912df664fa034aa4956d274e6dc580f65e282b",
+        "94d7166161a1ed360caa2397379628b5018cffee1c5b9593462c31736b3a8366",
+    ),
+    "check-bar": (
+        ["check", "bar", "--seed", "5", "--samples", "3"], 0,
+        "c0a23eda6a99c21c3a2ea32ed8c3df0c40433ca00fefe5b4eeeec4457824b582",
+        "5169e071cbd394564114975aa7d7691f8cecf3323d29e30569ca0b64a34785b2",
+    ),
     # Cantor depth 4: identity and shift do not conclude (NotUnique, NotForced)
     # because some stages of the double have no point of the model through
     # them, so a table value there ranges over the whole tree

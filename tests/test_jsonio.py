@@ -17,7 +17,6 @@ from sheafbench.jsonio import (
 )
 from sheafbench.points import Point
 from sheafbench.rules import ExtractionTranscript
-from sheafbench.site import Sieve
 from sheafbench.spaces import cantor_space
 
 
@@ -33,22 +32,6 @@ def test_space_kinds_build_the_expected_bases():
     double = space_from_json({"kind": "double", "inner": {"kind": "cantor", "depth": 1}})
     assert isinstance(double, DoubleSpace)
     assert double.d(()) in double.basis.elements
-
-
-def test_finite_space_requires_closed_order_and_covering_families():
-    data = {
-        "kind": "finite",
-        "elements": ["a", "b"],
-        "leq": [["b", "a"]],
-        "covers": {"a": [["b"]], "b": [["b"]]},
-    }
-    space = space_from_json(data)
-    assert space.topology.cover("a", Sieve.from_generators(space.basis, "a", ["b"])).covered
-
-    # a is not below b, so it cannot appear in a family covering b.
-    broken = dict(data, covers={"a": [["b"]], "b": [["a"]]})
-    with pytest.raises(InputError):
-        space_from_json(broken)
 
 
 def test_unknown_kind_and_missing_fields_are_input_errors():

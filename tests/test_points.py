@@ -14,7 +14,6 @@ from point_oracle import (
     scan_through,
 )
 from sheafbench.double import build_double
-from sheafbench.jsonio import space_from_json
 from sheafbench.maps import check_continuous_map
 from sheafbench.points import (
     Point,
@@ -23,7 +22,7 @@ from sheafbench.points import (
     point_members,
     prefix_chain,
 )
-from sheafbench.site import Sieve
+from sheafbench.site import Basis, CoveringSystem, FormalSpace, GeneratedTopology, Sieve
 from sheafbench.spaces import all_sequences, baire_space, cantor_space
 
 
@@ -88,7 +87,9 @@ def test_streams_outside_the_branching_fail_the_point_checks():
 
 def test_a_stream_on_a_space_that_is_no_tree_is_a_type_error():
     # a stream names a point through its prefixes, which only a tree space has
-    space = space_from_json({"kind": "finite", "elements": ["a", "b"], "leq": [["b", "a"]]})
+    basis = Basis({"a": ["a", "b"], "b": ["b"]})
+    system = CoveringSystem(basis, {})
+    space = FormalSpace(basis, GeneratedTopology(system), system)
     dbl = build_double(cantor_space(1), eventually_constant_points(2, 0))
     for target in (space, dbl):
         with pytest.raises(TypeError, match="tree space"):

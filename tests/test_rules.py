@@ -1,6 +1,7 @@
 """Tests for the rule extraction pipelines."""
 
 import dataclasses
+import itertools
 import random
 
 import pytest
@@ -284,7 +285,11 @@ def _retouched(transcript, stage, **fields):
         (_fan_transcript, "monotone-step", {"conclusions": ()}),
         (_fan_transcript, "cross-check", {"cover_depth": 99}),
         (_bar_transcript, "premise", {"formula": "false"}),
+        # the leaves of Baire(2, 3) and one inner node: the root step stays 3
+        (_bar_transcript, "closure-oracle",
+         {"base": frozenset(itertools.product((0, 1), repeat=3)) | {(0,)}}),
         (_continuity_transcript, "premise", {"formula": "false"}),
+        (_continuity_transcript, "modulus", {"table": {}}),
         (_continuity_transcript, "graph", {"pairs": ()}),
     ],
     ids=[
@@ -295,7 +300,9 @@ def _retouched(transcript, stage, **fields):
         "fan-monotone-step-conclusions",
         "fan-cross-check-cover-depth",
         "bar-premise-formula",
+        "bar-closure-oracle-base",
         "continuity-premise-formula",
+        "continuity-modulus-table",
         "continuity-graph-pairs",
     ],
 )

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from order_oracle import generate_topology
 from section_oracle import (
     check_family_by_product,
     from_zones_per_value,
@@ -43,7 +44,6 @@ from sheafbench.site import (
     GeneratedTopology,
     Sieve,
     Topology,
-    generate_topology,
     sieves_on,
 )
 from sheafbench.spaces import all_sequences, baire_space, cantor_space

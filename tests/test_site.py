@@ -22,7 +22,6 @@ from sheafbench.site import (
     cover_induction,
     element_key,
     FormalSpace,
-    generate_topology,
     inductive_close,
     recheck_cover_induction,
     set_compactness_witness,
@@ -30,7 +29,7 @@ from sheafbench.site import (
 )
 from sheafbench.spaces import all_sequences, baire_space, cantor_space, seq_leq
 
-from order_oracle import basis_from_relation
+from order_oracle import basis_from_relation, generate_topology
 
 
 def _brute_members(leq, elements, root, gens):

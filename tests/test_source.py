@@ -191,8 +191,6 @@ def test_point_incidence_is_read_from_the_index():
 
 # (module, top-level definition) allowed to check the covering axiom, and why
 VALIDATE_CALLERS = {
-    ("site.py", "generate_topology"): "the constructor for covering data from outside "
-                                      "the program, such as a JSON finite space",
     ("randomgen.py", "random_covering_system"): "repairs a seeded random system until "
                                                 "it satisfies the axiom",
 }
@@ -210,3 +208,65 @@ def test_only_outside_data_is_validated():
         if isinstance(node, ast.Attribute) and node.attr == "validate"
     )
     assert calls == sorted(VALIDATE_CALLERS)
+
+
+def _defaulted_parameters(path: pathlib.Path) -> list:
+    """``(function, parameter, position or None)`` for each defaulted parameter
+    of a public top-level function; keyword-only ones have no position."""
+    found = []
+    for stmt in _tree(path).body:
+        if not isinstance(stmt, ast.FunctionDef) or stmt.name.startswith("_"):
+            continue
+        positional = stmt.args.posonlyargs + stmt.args.args
+        first = len(positional) - len(stmt.args.defaults)
+        found += [(stmt.name, arg.arg, index)
+                  for index, arg in enumerate(positional) if index >= first]
+        found += [(stmt.name, arg.arg, None)
+                  for arg, default in zip(stmt.args.kwonlyargs, stmt.args.kw_defaults)
+                  if default is not None]
+    return found
+
+
+def _called_name(node) -> str | None:
+    if isinstance(node, ast.Name):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    return None
+
+
+def _passed_arguments(paths) -> set:
+    """``(function name, keyword or position)`` for every argument some call passes.
+
+    A call that takes a function as an argument, such as a timing wrapper,
+    passes its keywords on to that function too.
+    """
+    passed = set()
+    for path in paths:
+        for node in ast.walk(_tree(path)):
+            if not isinstance(node, ast.Call):
+                continue
+            names = [_called_name(node.func)] + [_called_name(a) for a in node.args]
+            keywords = {k.arg for k in node.keywords if k.arg is not None}
+            for name in filter(None, names):
+                passed |= {(name, keyword) for keyword in keywords}
+            for index, arg in enumerate(node.args):
+                if isinstance(arg, ast.Starred):
+                    break
+                passed.add((names[0], index))
+    return passed
+
+
+def test_every_defaulted_parameter_is_set_by_some_call():
+    # a default that no caller ever overrides is a constant behind an
+    # option: one more value to document and test for no behaviour
+    paths = (sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+             + sorted(BENCH.glob("tests/*.py")) + sorted(TESTS.glob("*.py")))
+    passed = _passed_arguments(paths)
+    unset = sorted(
+        f"{path.name}:{function}({parameter})"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for function, parameter, index in _defaulted_parameters(path)
+        if (function, parameter) not in passed and (function, index) not in passed
+    )
+    assert unset == []

@@ -7,9 +7,10 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from order_oracle import generate_topology
 from sheafbench import randomgen
 from sheafbench.randomgen import random_monotone_bar
-from sheafbench.site import NotACover, Sieve, generate_topology
+from sheafbench.site import NotACover, Sieve
 from sheafbench.spaces import (
     Bar,
     DepthExceeded,
