@@ -70,7 +70,8 @@ class DoubleTopology(Topology):
 
     A sieve covers D(u) iff its D-part covers u inside the inner space; the
     matching point opens are then automatically members because sieves are
-    downward closed.  A sieve covers {q} iff it contains {q}.
+    downward closed.  A sieve covers {q} iff it contains {q}.  Whole zones
+    are covered the same way, in one inner pass.
     """
 
     def __init__(self, basis: Basis, inner: TruncatedSpace):
@@ -94,6 +95,14 @@ class DoubleTopology(Topology):
             depth=res.depth,
             frontier=tuple(DOpen(v) for v in res.frontier),
         )
+
+    def covered(self, zone) -> frozenset:
+        """The zone's point opens, and D(u) for each u the inner topology
+        covers from the zone's D-part (downward closed in the inner basis)."""
+        inner = self.inner.topology.covered(
+            frozenset(x.seq for x in zone if isinstance(x, DOpen)))
+        return frozenset(x for x in zone if isinstance(x, SingletonOpen)).union(
+            map(DOpen, inner))
 
 
 @dataclass(frozen=True)

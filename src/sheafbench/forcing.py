@@ -1,15 +1,15 @@
 """Cover semantics for first-order formulas over a formal space.
 
 Truth at a basic open follows the usual sheaf-model clauses: conjunction and
-implication are pointwise over the downset, disjunction and existence ask for
-a covering sieve of local verdicts, and universal quantification ranges over
-every smaller open.  Nat and FinSeq quantifiers draw witnesses from finite
-universes of pure values; by pure density this loses no generality on the
-spaces built here.  Stream-sort quantifiers range over section values: the
-graphs of continuous maps into the truncated tree.  Three kinds are
-enumerated — constant maps given by a single stream, the generic stream
-``pi`` (the tree part of a double names its own prefix), and maps induced by
-a function table on enumerated points.
+implication are pointwise over the downset, disjunction and existence hold
+where the opens carrying a local verdict cover, and universal quantification
+ranges over every smaller open.  Nat and FinSeq quantifiers draw witnesses
+from finite universes of pure values; by pure density this loses no
+generality on the spaces built here.  Stream-sort quantifiers range over
+section values: the graphs of continuous maps into the truncated tree.
+Three kinds are enumerated — constant maps given by a single stream, the
+generic stream ``pi`` (the tree part of a double names its own prefix), and
+maps induced by a function table on enumerated points.
 
 Every section value is read through its member set at a stage: the basic
 opens of the target tree that the map is known to land in.  Atoms look only
@@ -29,8 +29,20 @@ its right side only where its left fails, an implication's only where its
 left holds; a quantifier tries each universe value only at the elements
 still without a witness (or counterexample).  Atoms read their arguments
 once per call, and order, bar and pure-value atoms answer once for the
-whole set.  A run's step count is the number of distinct
-(subformula, stage, env) triples demanded this way.  Which triples a
+whole set; ``Prefix(pi, u)`` holds exactly below D(u) (below u on a plain
+tree), so it reads one down-set.
+
+The cover clauses (falsum, disjunction, existence and ``App``) each take
+one saturation per zone.  Forcing is monotone, so a disjunction's or
+existential's zone, the elements where a local verdict holds, is downward
+closed, and so is the set where a stream is seen to take a value, since
+member sets only grow going down.  For a downward closed zone the sieve
+``zone & below(a)`` covers ``a`` exactly when ``a`` lies in the zone's
+inductive closure under the covering families, which
+:meth:`Topology.covered` computes once for every stage.
+
+A run's step count is the number of distinct (subformula, stage, env)
+triples demanded this way; saturating a zone ticks none.  Which triples a
 verdict demands depends only on the verdicts of the triples that demand
 them, not on the order they are evaluated in, so the count, and with it
 fuel, is the one a stage-at-a-time evaluation would reach.
@@ -197,6 +209,8 @@ class _Run:
         # (node, env slice) -> (stages evaluated so far, stages forced)
         self.memo: dict = {}
         self.zones: dict = {}
+        # (node, env slice) -> elements covered by the node's zone
+        self.covers: dict = {}
 
     def tick(self, count: int):
         self.steps += count
@@ -264,29 +278,51 @@ def _holds(run: _Run, stages: frozenset, node, env: dict) -> frozenset:
 def _evaluate(run: _Run, stages: frozenset, node, env: dict):
     model = run.model
     basis = model.space.basis
-    topology = model.space.topology
 
     if isinstance(node, F.Falsum):
-        return [s for s in stages
-                if topology.cover(s, Sieve.empty(basis, s)).covered]
+        return stages & _covered(run, node, env)
     if isinstance(node, F.Atom):
         impl = ATOMS.get(node.name)
-        if impl is None:
+        if impl is None and node.name != "App":
             raise ModelError(f"unknown atom {node.name!r}")
         args = tuple(eval_term(model, env, t) for t in node.args)
+        if node.name == "App":
+            return stages & _covered(run, node, env, args)
         if _stage_free(node.name, args):
             return stages if impl(model, next(iter(stages)), args) else ()
+        if node.name == "Prefix":
+            top = _generic_prefix_open(model, *_prefix_args(args))
+            if top is not None:
+                return stages & basis.below(top)
         return [s for s in stages if impl(model, s, args)]
     if isinstance(node, F.And):
         return _holds(run, _holds(run, stages, node.left, env), node.right, env)
     if isinstance(node, (F.Or, F.Exists)):
-        zone = _zone(run, node, env)
-        return [s for s in stages
-                if topology.cover(s, Sieve.from_generators(basis, s, zone)).covered]
+        return stages & _covered(run, node, env)
     if isinstance(node, (F.Implies, F.Forall)):
         zone = _zone(run, node, env)
         return [s for s in stages if basis.below(s).isdisjoint(zone)]
     raise ModelError(f"not a formula: {node!r}")
+
+
+def _covered(run: _Run, node, env: dict, args: tuple = ()) -> frozenset:
+    """Elements forcing a cover clause: those its zone covers.
+
+    The zone is downward closed (empty for falsum, the App atom's
+    :func:`_app_zone`, the member set :func:`_zone` builds otherwise), so
+    one :meth:`Topology.covered` pass per (node, env) answers every stage.
+    """
+    key = (node, run.env_key(node, env))
+    got = run.covers.get(key)
+    if got is None:
+        if isinstance(node, F.Falsum):
+            zone = frozenset()
+        elif isinstance(node, F.Atom):
+            zone = _app_zone(run.model, args)
+        else:
+            zone = _zone(run, node, env)
+        got = run.covers[key] = run.model.space.topology.covered(zone)
+    return got
 
 
 def _stage_free(name: str, args: tuple) -> bool:
@@ -303,11 +339,14 @@ def _zone(run: _Run, node, env: dict):
 
     The member set of a disjunction or existential (and the failure set of
     an implication or universal) is defined pointwise at each element, so it
-    does not depend on the stage being forced; computing it once over the
-    whole basis lets every stage reuse it as an intersection with its
-    downset.  A quantifier's zone maps each element to its first witness
-    (Exists) or counterexample (Forall) in universe order: each value is
-    tried only at the elements still without one.
+    does not depend on the stage being forced; it is built once over the
+    whole basis.  A disjunction's or existential's zone is downward closed,
+    forcing being monotone, so one saturation of it (:func:`_covered`)
+    answers every stage; an implication's or universal's is read as an
+    intersection with each stage's downset.  A quantifier's zone maps each
+    element to its first witness (Exists) or counterexample (Forall) in
+    universe order: each value is tried only at the elements still without
+    one.
     """
     model = run.model
     key = (node, run.env_key(node, env))
@@ -384,28 +423,49 @@ def leq_atom(model, stage, args) -> bool:
     return args[0][1] <= args[1][1]
 
 
-def prefix_atom(model, stage, args) -> bool:
+def _prefix_args(args) -> tuple:
     if len(args) != 2 or args[1][0] != "FinSeq":
         raise ModelError("Prefix takes a stream and a finite sequence")
-    value = _stream_arg(args[0], "Prefix")
-    return tuple(args[1][1]) in section_members(model, value, stage)
+    return _stream_arg(args[0], "Prefix"), tuple(args[1][1])
 
 
-def app_atom(model, stage, args) -> bool:
+def prefix_atom(model, stage, args) -> bool:
+    value, u = _prefix_args(args)
+    return u in section_members(model, value, stage)
+
+
+def _generic_prefix_open(model, value: SectionValue, u: tuple):
+    """The open whose down-set is where the generic stream has prefix ``u``.
+
+    The generic's members at D(v) are the initial segments of v, and at {q}
+    those of q's prefix, so ``u`` is a member exactly below D(u) (below
+    ``u`` on a plain tree).  None unless ``value`` is the generic of the
+    tree and ``u`` an open of it.
+    """
+    space = model.space
+    tree = space.inner if isinstance(space, DoubleSpace) else space
+    if value.kind != "generic" or value.branch != tree.branch or u not in tree.basis:
+        return None
+    return DOpen(u) if tree is not space else u
+
+
+def _app_args(args) -> tuple:
     if len(args) != 3 or args[1][0] != "Nat" or args[2][0] != "Nat":
         raise ModelError("App takes a stream and two Nat arguments")
-    value = _stream_arg(args[0], "App")
-    n, m = args[1][1], args[2][1]
+    return _stream_arg(args[0], "App"), args[1][1], args[2][1]
 
-    def seen(v) -> bool:
-        return any(
-            len(w) > n and w[n] == m for w in section_members(model, value, v)
-        )
 
-    basis = model.space.basis
-    members = [v for v in basis.down(stage) if seen(v)]
-    sieve = Sieve.from_generators(basis, stage, members)
-    return model.space.topology.cover(stage, sieve).covered
+def _app_zone(model, args) -> frozenset:
+    """Elements at which the stream is seen to have entry m at position n.
+
+    Member sets only grow going down, so the set is downward closed; App
+    holds where it covers.
+    """
+    value, n, m = _app_args(args)
+    return frozenset(
+        v for v in model.space.basis.elements
+        if any(len(w) > n and w[n] == m for w in section_members(model, value, v))
+    )
 
 
 def inbar_atom(model, stage, args) -> bool:
@@ -439,12 +499,12 @@ def rel_atom(model, stage, args) -> bool:
     return True
 
 
-# atom name -> callable(model, stage, arg values) -> bool
+# atom name -> callable(model, stage, arg values) -> bool; App, a cover
+# clause, is forced from its zone instead
 ATOMS = {
     "Eq": eq_atom,
     "Leq": leq_atom,
     "Prefix": prefix_atom,
-    "App": app_atom,
     "InBar": inbar_atom,
     "Rel": rel_atom,
 }

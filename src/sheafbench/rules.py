@@ -518,9 +518,13 @@ def _recheck_continuity(transcript: ExtractionTranscript, fuel: int | None = Non
     failed = []
 
     points = eventually_constant_points(branch, depth + 1)
-    if transcript.stage("total")["points"] != points or any(q not in table for q in points):
+    partial = any(q not in table for q in points)
+    if partial or transcript.stage("total")["points"] != points:
         failed.append("total")
-    images = {q: table[q] for q in points if q in table}
+    if partial:
+        # every later stage reads the table at every point
+        return tuple(failed)
+    images = {q: table[q] for q in points}
 
     derived = {(alpha, k): _modulus_at(points, images, alpha, k, depth)
                for alpha in points for k in range(depth + 1)}

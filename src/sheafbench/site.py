@@ -358,6 +358,15 @@ class Topology:
     def cover(self, a: Element, sieve: Sieve) -> CoverResult:
         raise NotImplementedError
 
+    def covered(self, zone) -> frozenset:
+        """Every element ``a`` whose sieve ``zone & below(a)`` covers ``a``.
+
+        ``zone`` must be downward closed.  The covered set is then the
+        inductive closure of ``zone`` under the covering families, so one
+        pass answers every element at once.
+        """
+        raise NotImplementedError
+
 
 class GeneratedTopology(Topology):
     """Cover relation inductively generated by a covering system.
@@ -408,6 +417,38 @@ class GeneratedTopology(Topology):
             )
             return CoverResult(False, frontier=missing)
         return CoverResult(True, depth=depth)
+
+    @cached_property
+    def _rules(self) -> tuple:
+        """Every (element, family) rule, and the rules each element is a premise of."""
+        rules = [(v, alpha) for v in self.basis.elements
+                 for alpha in self.system.families_at(v)]
+        uses: dict = {}
+        for i, (_, alpha) in enumerate(rules):
+            for x in alpha:
+                uses.setdefault(x, []).append(i)
+        return tuple(rules), uses
+
+    def covered(self, zone) -> frozenset:
+        """One saturation of ``zone`` over the whole basis.
+
+        A family's members all lie below its element, so a derivation of
+        ``a`` from ``zone`` only uses ``zone & below(a)``: this is the
+        per-element cover test of every element at once.
+        """
+        rules, uses = self._rules
+        missing = [len(alpha) for _, alpha in rules]
+        # an empty family derives its element from nothing
+        got = set(zone).union(v for v, alpha in rules if not alpha)
+        todo = list(got)
+        while todo:
+            for i in uses.get(todo.pop(), ()):
+                missing[i] -= 1
+                v = rules[i][0]
+                if not missing[i] and v not in got:
+                    got.add(v)
+                    todo.append(v)
+        return frozenset(got)
 
     def derivation(self, a: Element, sieve: Sieve):
         """Minimal-depth derivation tree for a covered instance.

@@ -118,6 +118,20 @@ class BracketTopology(Topology):
         )
         return CoverResult(False, frontier=frontier)
 
+    def covered(self, zone) -> frozenset:
+        """One bottom-up pass: ``u`` is covered iff it lies in ``zone`` or is
+        not a leaf and all its children are covered.
+
+        For a downward closed zone this is the uniform-bracket test: brackets
+        of the children at their own depths extend to one common depth.
+        """
+        got = set()
+        for u in reversed(self.basis.elements):  # longest sequences first
+            if u in zone or (len(u) < self.depth and all(
+                    u + (i,) in got for i in range(self.branch))):
+                got.add(u)
+        return frozenset(got)
+
 
 def _child_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:
     """Families "all immediate children"; leaves carry the trivial family.

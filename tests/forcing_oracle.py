@@ -6,8 +6,26 @@ zones are built over the whole basis.  ``steps`` therefore counts the
 distinct triples demanded, which the package's evaluator must reproduce.
 """
 from sheafbench import formulas as F
-from sheafbench.forcing import ATOMS, FuelExhausted, ModelError, eval_term
+from sheafbench.forcing import (
+    ATOMS, FuelExhausted, ModelError, _app_args, eval_term, section_members)
 from sheafbench.site import Sieve
+
+
+def app_atom(model, stage, args) -> bool:
+    """App at one stage: the elements below it whose members show entry m
+    at position n generate a sieve, and App holds where that sieve covers."""
+    value, n, m = _app_args(args)
+    basis = model.space.basis
+    members = [
+        v for v in basis.down(stage)
+        if any(len(w) > n and w[n] == m for w in section_members(model, value, v))
+    ]
+    return model.space.topology.cover(
+        stage, Sieve.from_generators(basis, stage, members)).covered
+
+
+# the per-stage definition of every atom
+STAGE_ATOMS = {**ATOMS, "App": app_atom}
 
 
 class _Run:
@@ -54,7 +72,7 @@ def _force(run: _Run, stage, node, env: dict) -> bool:
     if isinstance(node, F.Falsum):
         out = topology.cover(stage, Sieve.empty(basis, stage)).covered
     elif isinstance(node, F.Atom):
-        impl = ATOMS.get(node.name)
+        impl = STAGE_ATOMS.get(node.name)
         if impl is None:
             raise ModelError(f"unknown atom {node.name!r}")
         args = tuple(eval_term(model, env, t) for t in node.args)

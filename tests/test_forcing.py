@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import forcing_oracle
+from cover_oracle import own_cover_topologies
 from order_oracle import generate_topology
 from point_oracle import double_point_family, family_through, scan_observation, scan_through
-from sheafbench.double import build_double
+from sheafbench import rules
+from sheafbench.double import DOpen, DoubleSpace, build_double
 from sheafbench.forcing import (
     Amalgamation,
     FuelExhausted,
@@ -18,6 +20,7 @@ from sheafbench.forcing import (
     NotDisjoint,
     _Run,
     _force,
+    _generic_prefix_open,
     cc_refine,
     choice_amalgamation,
     classical_truth,
@@ -30,6 +33,7 @@ from sheafbench.forcing import (
     prefix_atom,
     pure_value,
     rel_atom,
+    section_members,
     standard_model,
     table_value,
     with_universe_value,
@@ -44,7 +48,7 @@ from sheafbench.site import (
     NotACover,
     Sieve,
 )
-from sheafbench.spaces import baire_space, bar_from_generators, cantor_space
+from sheafbench.spaces import Bar, baire_space, bar_from_generators, cantor_space
 
 
 def _double(depth=2, max_prefix=1):
@@ -303,14 +307,25 @@ def _subformulas(node):
             yield from _subformulas(child)
 
 
+# App and Prefix on the generic under exists and or: the atom forced from
+# its saturated zone, and the one read off the down-set of D(u)
+_GENERIC_CLAUSES = ("exists n:Nat. App(pi, n, 1)", "App(pi, 1, 0) | App(pi, 2, 1)",
+                    "exists u:FinSeq. Prefix(pi, u) & InBar(u)",
+                    "exists u:FinSeq. InBar(u) & (Prefix(pi, u) | App(pi, 0, 1))",
+                    rules.FAN_PREMISE)
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(_DIFFERENTIAL))), st.integers(0, 2**32 - 1),
        st.none() | st.sampled_from(_ILL_FORMED), st.sampled_from((And, Or, Implies)),
-       st.booleans())
-def test_set_at_a_time_forcing_matches_the_per_stage_oracle(which, seed, bad, join, first):
+       st.booleans(), st.none() | st.sampled_from(_GENERIC_CLAUSES))
+def test_set_at_a_time_forcing_matches_the_per_stage_oracle(which, seed, bad, join, first,
+                                                            clause):
     model, root = _DIFFERENTIAL[which]
     rng = random.Random(seed)
     phi = random_formula(rng, rng.randint(0, 3), n_max=rng.choice((2, 8)))
+    if clause is not None:
+        phi = join(parse_formula(clause), phi)
     if bad is not None:
         pieces = (parse_formula(bad), phi) if first else (phi, parse_formula(bad))
         phi = join(*pieces)
@@ -329,6 +344,74 @@ def test_set_at_a_time_forcing_matches_the_per_stage_oracle(which, seed, bad, jo
         if isinstance(node, Exists) and set(node.free) <= set(model.constants):
             assert _outcome(lambda: exists_witness_sieve(model, root, node)) == _outcome(
                 lambda: forcing_oracle.exists_witness_sieve(model, root, node)), node
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(range(len(_DIFFERENTIAL))), st.integers(0, 2**32 - 1),
+       st.sampled_from(_GENERIC_CLAUSES), st.sampled_from((And, Or, Implies)))
+def test_disjunction_and_existence_zones_are_downward_closed(which, seed, clause, join):
+    # forcing saturates these zones once over the basis, which answers
+    # every stage only for a downward closed zone
+    model, _ = _DIFFERENTIAL[which]
+    basis = model.space.basis
+    rng = random.Random(seed)
+    phi = join(parse_formula(clause), random_formula(rng, rng.randint(1, 3)))
+    run = _Run(model, None)
+    for stage in basis.elements:
+        # an ill-sorted formula raises part way; the zones built so far stay
+        _outcome(lambda: _force(run, stage, phi, {}))
+    zones = [set(zone) for (node, _), zone in run.zones.items() if isinstance(node, (Or, Exists))]
+    assert zones
+    for zone in zones:
+        for v in zone:
+            assert basis.below(v) <= zone, (phi, v)
+
+
+def test_the_generic_has_prefix_u_exactly_below_the_open_of_u():
+    for model, _ in _DIFFERENTIAL:
+        space = model.space
+        generic = model.constants["pi"][1]
+        for u in model.universe("FinSeq"):
+            top = DOpen(u) if isinstance(space, DoubleSpace) else u
+            stages = {x for x in space.basis.elements
+                      if u in section_members(model, generic, x)}
+            assert stages == space.basis.below(top), u
+            assert _generic_prefix_open(model, generic, u) == top
+
+
+def _premise_models():
+    """(model, root, premise) of the fan, bar and continuity rules."""
+    fan_bar = Bar(cantor_space(3), lambda u: 1 in u or len(u) >= 2, monotone=True)
+    bar = Bar(baire_space(2, 3), lambda u: True, monotone=True, inductive=True)
+    shift = {q: _shift(q) for q in eventually_constant_points(2, 3)}
+    made = ((rules._double_model(fan_bar.space, bar=fan_bar), rules.FAN_PREMISE),
+            (rules._double_model(bar.space, bar=bar), rules.BAR_PREMISE),
+            (rules._table_model(baire_space(2, 2), shift), rules.UNIQUE_IMAGE))
+    return [(model, double.d(()), parse_formula(text)) for (double, model), text in made]
+
+
+def test_forcing_builds_no_sieve_and_asks_no_cover_test(monkeypatch):
+    # every cover clause reads one saturation of its zone
+    asked = []
+    init = Sieve.__init__
+
+    def counted_init(self, *args, **kwargs):
+        asked.append("sieve")
+        init(self, *args, **kwargs)
+
+    def counted_cover(cover):
+        def counted(self, a, sieve):
+            asked.append(("cover", a))
+            return cover(self, a, sieve)
+        return counted
+
+    premises = _premise_models()
+    monkeypatch.setattr(Sieve, "__init__", counted_init)
+    for topology in own_cover_topologies():
+        monkeypatch.setattr(topology, "cover", counted_cover(topology.cover))
+    for model, root, premise in premises:
+        assert force(model, root, premise)
+    assert asked == []
 
 
 def test_cc_refine_keeps_given_disjoint_pieces():

@@ -312,6 +312,14 @@ def test_recheck_reads_every_recorded_field(made, stage, fields):
     assert recheck_transcript(_retouched(transcript, stage, **fields)) == (stage,)
 
 
+def test_continuity_recheck_reports_a_partial_table_as_not_total():
+    transcript = _continuity_transcript()
+    space, table = transcript.source
+    partial = {q: image for q, image in table.items() if q != Point((), 0)}
+    got = recheck_transcript(dataclasses.replace(transcript, source=(space, partial)))
+    assert "total" in got
+
+
 def test_bar_recheck_compares_the_cover_with_the_re_read_witnesses():
     # another genuine prefix in the bar is a valid witness, and the cover's
     # members stay the same: only the re-read witness map tells them apart

@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cover_oracle import own_cover_topologies
 from order_oracle import generate_topology
 from section_oracle import (
     check_family_by_product,
@@ -43,7 +44,6 @@ from sheafbench.site import (
     FormalSpace,
     GeneratedTopology,
     Sieve,
-    Topology,
     sieves_on,
 )
 from sheafbench.spaces import all_sequences, baire_space, cantor_space
@@ -428,14 +428,6 @@ def test_restriction_by_zones_matches_the_cover_oracle_on_random_preorders(seed,
         assert restrict_section(space, section, b) == restrict_by_covers(space, section, b)
 
 
-def _topologies(cls=Topology):
-    """Every subclass of ``cls`` that defines its own cover test."""
-    for sub in cls.__subclasses__():
-        if "cover" in vars(sub):
-            yield sub
-        yield from _topologies(sub)
-
-
 def test_the_sheaf_layer_never_asks_the_order_pairwise(monkeypatch):
     # restriction intersects zones: no leq question anywhere in sheaf_check,
     # and no make_section, so no cover test, inside restrict_section; sections
@@ -465,7 +457,7 @@ def test_the_sheaf_layer_never_asks_the_order_pairwise(monkeypatch):
             return cover(self, a, sieve)
         return counted
 
-    for topology in _topologies():
+    for topology in own_cover_topologies():
         monkeypatch.setattr(topology, "cover", counted_cover(topology.cover))
     monkeypatch.setattr(ConstantPresheaf, "sections", counted_sections)
 
