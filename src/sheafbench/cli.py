@@ -186,7 +186,24 @@ def _run_check(args: argparse.Namespace):
 _RUNNERS = {"force": _run_force, "check": _run_check, **dict.fromkeys(_RULES, _run_rule)}
 
 
-def _render(report: dict, ok: bool) -> str:
+_WITNESS_KEY = '\n  "witnesses": '
+
+
+def _witness_block(report: dict, text: str | None) -> str:
+    """The witnesses as :func:`dump_report` encodes them on their own.
+
+    Given the report's own text, the block is cut out of it instead of
+    encoded again: ``witnesses`` is its last key, and JSON escapes every
+    newline inside a string, so dropping one indent level from each line
+    gives the same bytes.
+    """
+    if text is None:
+        return dump_report(report["witnesses"]).rstrip("\n")
+    start = text.rindex(_WITNESS_KEY) + len(_WITNESS_KEY)
+    return text[start:-len("\n}\n")].replace("\n  ", "\n")
+
+
+def _render(report: dict, ok: bool, text: str | None) -> str:
     lines = [f"sheafbench {report['command']}"]
     for verdict in report["verdicts"]:
         parts = [f"{k}={verdict[k]}" for k in ("check", "verdict") if k in verdict]
@@ -196,7 +213,7 @@ def _render(report: dict, ok: bool) -> str:
             parts.append(f"checked={verdict['checked']}")
         lines.append("  " + " ".join(parts))
     if report["witnesses"] and report["command"] != "check":
-        lines.append(dump_report(report["witnesses"]).rstrip("\n"))
+        lines.append(_witness_block(report, text))
     elif report["witnesses"]:
         lines.append(f"  witnesses: {len(report['witnesses'])}")
     lines.append("PASS" if ok else "FAIL")
@@ -215,10 +232,12 @@ def main(argv=None) -> int:
     # rendered once: the --out text and the printed verdict block both read it
     report = jsonable({"command": args.command, "config": _config(args),
                        "verdicts": verdicts, "witnesses": witnesses})
+    text = None
     if getattr(args, "out", None):
+        text = dump_report(report)
         with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(dump_report(report))
-    print(_render(report, ok))
+            handle.write(text)
+    print(_render(report, ok, text))
     return status
 
 

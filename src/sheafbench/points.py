@@ -40,7 +40,7 @@ class Point:
         return self.prefix[i] if i < len(self.prefix) else self.tail
 
     def prefix_of(self, length: int) -> tuple:
-        return tuple(self.value(i) for i in range(length))
+        return self.prefix[:length] + (self.tail,) * max(0, length - len(self.prefix))
 
     def passes_through(self, u: tuple) -> bool:
         return self.prefix_of(len(u)) == tuple(u)

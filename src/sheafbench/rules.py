@@ -427,18 +427,40 @@ def _recheck_bar(transcript: ExtractionTranscript, fuel: int | None = None) -> t
 # --------------------------------------------------------- continuity rule
 
 
-def _modulus_at(points, images, alpha: Point, k: int, depth: int) -> int | None:
-    """Least m with the k-prefix of the image constant on the m-neighbourhood."""
-    want = images[alpha].prefix_of(k)
+def _agreement(rows) -> int:
+    """Length of the longest prefix shared by every row; the rows are
+    tuples of one length, so the lexicographic least and greatest decide it."""
+    low, high = min(rows), max(rows)
+    n = 0
+    while n < len(low) and low[n] == high[n]:
+        n += 1
+    return n
+
+
+def _least_moduli(points, images, depth: int) -> dict:
+    """Least modulus of every ``(alpha, k)``, ``k <= depth``, in one pass.
+
+    The modulus is the least ``m <= depth + 1`` at which every point
+    sharing alpha's m-prefix has an image sharing the k-prefix of alpha's
+    image, or ``None`` when there is none.  The points are grouped by
+    their m-prefix once per m; a group pins down exactly the k-prefixes up
+    to the length its images all agree on, which only grows with m.
+    """
+    windows = {q: q.prefix_of(depth + 1) for q in points}
+    outputs = {q: images[q].prefix_of(depth) for q in points}
+    least: dict = {}
+    pinned = dict.fromkeys(points, -1)
     for m in range(depth + 2):
-        anchor = alpha.prefix_of(m)
-        if all(
-            images[beta].prefix_of(k) == want
-            for beta in points
-            if beta.prefix_of(m) == anchor
-        ):
-            return m
-    return None
+        buckets: dict = {}
+        for q in points:
+            buckets.setdefault(windows[q][:m], []).append(q)
+        for members in buckets.values():
+            agree = _agreement([outputs[q] for q in members])
+            for q in members:
+                for k in range(pinned[q] + 1, agree + 1):
+                    least[(q, k)] = m
+                pinned[q] = agree
+    return {(alpha, k): least.get((alpha, k)) for alpha in points for k in range(depth + 1)}
 
 
 def continuity_rule(rel: Mapping, space: TruncatedSpace, fuel: int | None = None):
@@ -462,13 +484,10 @@ def continuity_rule(rel: Mapping, space: TruncatedSpace, fuel: int | None = None
     images = {q: table[q] for q in points}
     stages = [("total", {"points": points})]
 
-    modulus = {}
-    for alpha in points:
-        for k in range(depth + 1):
-            m = _modulus_at(points, images, alpha, k, depth)
-            if m is None:
-                raise NoModulus(alpha, k)
-            modulus[(alpha, k)] = m
+    modulus = _least_moduli(points, images, depth)
+    for (alpha, k), m in modulus.items():
+        if m is None:
+            raise NoModulus(alpha, k)
     stages.append(("modulus", {"table": dict(modulus)}))
 
     double, model = _table_model(space, images)
@@ -526,9 +545,7 @@ def _recheck_continuity(transcript: ExtractionTranscript, fuel: int | None = Non
         return tuple(failed)
     images = {q: table[q] for q in points}
 
-    derived = {(alpha, k): _modulus_at(points, images, alpha, k, depth)
-               for alpha in points for k in range(depth + 1)}
-    if transcript.stage("modulus")["table"] != derived:
+    if transcript.stage("modulus")["table"] != _least_moduli(points, images, depth):
         failed.append("modulus")
 
     double, model = _table_model(space, images)

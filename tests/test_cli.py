@@ -137,6 +137,23 @@ def test_continuity_rejects_a_tail_reader(tmp_path):
     assert report["verdicts"][0]["error"] == "NoModulus"
 
 
+@pytest.mark.parametrize("command, flag, data", [
+    ("fan", "--bar", {"space": _cantor(3), "generators": [[0, 0], [0, 1], [1]]}),
+    ("bar", "--bar", {"space": _cantor(2), "generators": [[]], "inductive": True}),
+    ("continuity", "--rel", {"space": {"kind": "baire", "branch": 2, "depth": 2},
+                             "builtin": "shift"}),
+])
+def test_stdout_is_the_same_with_and_without_out(tmp_path, capsys, command, flag, data):
+    # with --out the printed witness block is cut from the report's text,
+    # without it the block is encoded on its own
+    argv = [command, flag, _write(tmp_path / "input.json", data)]
+    assert main(argv) == 0
+    alone = capsys.readouterr().out
+    assert main(argv + ["--out", str(tmp_path / "report.json")]) == 0
+    assert capsys.readouterr().out == alone
+    assert '"type": "ExtractionTranscript"' in alone
+
+
 def test_check_suite_runs_and_reports(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["check", "topology", "--seed", "3", "--samples", "5",

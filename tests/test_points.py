@@ -54,6 +54,13 @@ def test_point_stream_values():
     assert not p.passes_through((1, 1))
 
 
+@settings(max_examples=200, deadline=None)
+@given(_points(4), st.integers(0, 10))
+def test_prefix_of_matches_the_stream_read_entry_by_entry(point, length):
+    assert point.prefix_of(length) == _stream_prefix(point, length)
+    assert point.passes_through(_stream_prefix(point, length))
+
+
 def test_eventually_constant_points_are_distinct():
     pts = eventually_constant_points(2, 2)
     # tails 0 and 1, each with the four normalized prefixes of length <= 2

@@ -7,7 +7,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sheafbench import rules
+from modulus_oracle import scan_moduli
+from sheafbench import rules, suites
 from sheafbench.double import DOpen
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_monotone_bar
@@ -248,6 +249,85 @@ def test_continuity_recheck_flags_a_tampered_graph():
     )
     tampered = dataclasses.replace(transcript, stages=stages)
     assert "graph" in recheck_transcript(tampered)
+
+
+# Cantor(1-4), Baire(2, <= 4) and Baire(3, <= 3); a table's moduli read only
+# the branching and the depth of its space
+MODULUS_SPACES = (
+    [cantor_space(d) for d in range(1, 5)]
+    + [baire_space(2, d) for d in range(1, 5)]
+    + [baire_space(3, d) for d in range(1, 4)]
+)
+
+
+def _named_tables(points):
+    return {
+        "identity": {q: q for q in points},
+        "shift": {q: _shift(q) for q in points},
+        "constant": {q: Point((1,), 0) for q in points},
+        # every stream collapses onto the constant-0 stream of its first entry
+        "collapse": {q: Point(q.prefix_of(1), 0) for q in points},
+    }
+
+
+def _assert_least_moduli_match_the_scan(space, table):
+    depth = space.depth
+    points = eventually_constant_points(space.branch, depth + 1)
+    got = rules._least_moduli(points, table, depth)
+    scanned = scan_moduli(points, table, depth)
+    # the same table, listed in the same order
+    assert list(got.items()) == list(scanned.items())
+    for (alpha, k), m in got.items():
+        assert suites._modulus_is_valid(points, table, alpha, k, m)
+        assert m == 0 or not suites._modulus_is_valid(points, table, alpha, k, m - 1)
+
+
+@pytest.mark.parametrize("space", MODULUS_SPACES, ids=lambda s: f"{s.kind}{s.branch}-{s.depth}")
+@pytest.mark.parametrize("name", ["identity", "shift", "constant", "collapse"])
+def test_least_moduli_of_named_tables_match_the_scan(space, name):
+    points = eventually_constant_points(space.branch, space.depth + 1)
+    _assert_least_moduli_match_the_scan(space, _named_tables(points)[name])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from(MODULUS_SPACES), st.integers(0, 2**32 - 1))
+def test_least_moduli_of_random_continuous_tables_match_the_scan(space, seed):
+    points = eventually_constant_points(space.branch, space.depth + 1)
+    table = suites._random_continuous_table(random.Random(seed), points, space.depth)
+    _assert_least_moduli_match_the_scan(space, table)
+
+
+@pytest.mark.parametrize("space", [cantor_space(2), baire_space(2, 3), baire_space(3, 2)],
+                         ids=lambda s: f"{s.kind}{s.branch}-{s.depth}")
+def test_discontinuous_tables_fail_at_the_scans_first_missing_modulus(space):
+    points = eventually_constant_points(space.branch, space.depth + 1)
+    for label, table in suites._discontinuous_tables(points):
+        scanned = scan_moduli(points, table, space.depth)
+        first = next(key for key, m in scanned.items() if m is None)
+        with pytest.raises(NoModulus) as err:
+            continuity_rule(table, space)
+        assert (err.value.point, err.value.k) == first, label
+
+
+def test_moduli_ask_each_point_for_its_prefixes_a_bounded_number_of_times(monkeypatch):
+    # the point-by-point scan asks O(P^2 d^2) prefixes of P points at depth
+    # d; the whole rule and its recheck must stay within 2 (d + 2) P
+    depth = 3
+    space = baire_space(3, depth)
+    points = eventually_constant_points(3, depth + 1)
+    calls = []
+    original = Point.prefix_of
+
+    def counting(self, length):
+        calls.append(length)
+        return original(self, length)
+
+    monkeypatch.setattr(Point, "prefix_of", counting)
+    for table in ({q: q for q in points}, {q: _shift(q) for q in points}):
+        calls.clear()
+        _, _, transcript = continuity_rule(table, space)
+        assert recheck_transcript(transcript) == ()
+        assert len(calls) <= 2 * (depth + 2) * len(points)
 
 
 # --------------------------------------------------------------- recheck
