@@ -30,18 +30,14 @@ class BrouwerTree:
     def __post_init__(self):
         if not all(isinstance(c, BrouwerTree) for c in self.children):
             raise TypeError("children must be trees")
-        # the hash the generated __hash__ would compute on every call, and
-        # the depth, stored once: the quotient's memos are keyed on trees
-        object.__setattr__(self, "_hash", hash((self.children,)))
-        object.__setattr__(
-            self, "depth", 1 + max(c.depth for c in self.children) if self.children else 0)
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @property
     def is_leaf(self) -> bool:
         return not self.children
+
+    @property
+    def depth(self) -> int:
+        return 0 if not self.children else 1 + max(c.depth for c in self.children)
 
     def __repr__(self) -> str:
         if not self.children:
@@ -246,14 +242,11 @@ class LabelledTree:
     flags: tuple
     edges: tuple = ()
 
-    def __post_init__(self):
-        # stored once, as BrouwerTree does
-        object.__setattr__(self, "_hash", hash((self.root, self.pieces, self.flags, self.edges)))
-        object.__setattr__(
-            self, "depth", 1 + max(sub.depth for _, sub in self.edges) if self.edges else 0)
-
-    def __hash__(self) -> int:
-        return self._hash
+    @property
+    def depth(self) -> int:
+        if not self.edges:
+            return 0
+        return 1 + max(sub.depth for _, sub in self.edges)
 
     def flag(self, q) -> int:
         return self.flags[self.pieces.index(q)]

@@ -14,7 +14,7 @@ import sys
 from . import formulas as F
 from . import rules
 from .forcing import FuelExhausted, force, standard_model
-from .jsonio import InputError, bar_from_json, dump_report, jsonable, load_json, parse_element, rel_from_json, space_from_json
+from .jsonio import InputError, bar_from_json, dump_report, jsonable, load_json, parse_element, rel_from_json, space_from_json, witness_block
 from .suites import CHECK_SUITES
 
 SUITE_NAMES = tuple(CHECK_SUITES)
@@ -186,24 +186,7 @@ def _run_check(args: argparse.Namespace):
 _RUNNERS = {"force": _run_force, "check": _run_check, **dict.fromkeys(_RULES, _run_rule)}
 
 
-_WITNESS_KEY = '\n  "witnesses": '
-
-
-def _witness_block(report: dict, text: str | None) -> str:
-    """The witnesses as :func:`dump_report` encodes them on their own.
-
-    Given the report's own text, the block is cut out of it instead of
-    encoded again: ``witnesses`` is its last key, and JSON escapes every
-    newline inside a string, so dropping one indent level from each line
-    gives the same bytes.
-    """
-    if text is None:
-        return dump_report(report["witnesses"]).rstrip("\n")
-    start = text.rindex(_WITNESS_KEY) + len(_WITNESS_KEY)
-    return text[start:-len("\n}\n")].replace("\n  ", "\n")
-
-
-def _render(report: dict, ok: bool, text: str | None) -> str:
+def _render(report: dict, ok: bool, text: str) -> str:
     lines = [f"sheafbench {report['command']}"]
     for verdict in report["verdicts"]:
         parts = [f"{k}={verdict[k]}" for k in ("check", "verdict") if k in verdict]
@@ -213,7 +196,7 @@ def _render(report: dict, ok: bool, text: str | None) -> str:
             parts.append(f"checked={verdict['checked']}")
         lines.append("  " + " ".join(parts))
     if report["witnesses"] and report["command"] != "check":
-        lines.append(_witness_block(report, text))
+        lines.append(witness_block(text))
     elif report["witnesses"]:
         lines.append(f"  witnesses: {len(report['witnesses'])}")
     lines.append("PASS" if ok else "FAIL")
@@ -232,9 +215,8 @@ def main(argv=None) -> int:
     # rendered once: the --out text and the printed verdict block both read it
     report = jsonable({"command": args.command, "config": _config(args),
                        "verdicts": verdicts, "witnesses": witnesses})
-    text = None
+    text = dump_report(report)
     if getattr(args, "out", None):
-        text = dump_report(report)
         with open(args.out, "w", encoding="utf-8") as handle:
             handle.write(text)
     print(_render(report, ok, text))

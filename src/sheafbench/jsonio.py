@@ -279,3 +279,18 @@ def dump_report(rendered) -> str:
     """Canonical text of a :func:`jsonable` rendering: sorted keys,
     two-space indent, final newline."""
     return json.dumps(rendered, sort_keys=True, indent=2) + "\n"
+
+
+_WITNESS_KEY = '\n  "witnesses": '
+
+
+def witness_block(text: str) -> str:
+    """The ``witnesses`` of a report's :func:`dump_report` text, as
+    :func:`dump_report` encodes them on their own, less the final newline.
+
+    ``witnesses`` is the report's last key, and JSON escapes every newline
+    inside a string, so the block is the text after that key, less the
+    closing brace, with one indent level dropped from each line.
+    """
+    start = text.rindex(_WITNESS_KEY) + len(_WITNESS_KEY)
+    return text[start:-len("\n}\n")].replace("\n  ", "\n")

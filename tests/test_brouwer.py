@@ -1,6 +1,4 @@
 """Ordinal trees, the alternative cover presentation, and the labelled-tree sheaf."""
-import dataclasses
-
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -149,30 +147,6 @@ def test_labelled_tree_factory_rejects_bad_labels():
             space, 2, (), ((),), (1,),
             {((), 0): sup_star(space, 2, (0,)), ((), 1): sup_star(space, 2, ())},
         )
-
-
-def _field_hash(tree) -> int:
-    """What the generated dataclass ``__hash__`` computes: the field tuple's hash."""
-    return hash(tuple(getattr(tree, f.name) for f in dataclasses.fields(tree)))
-
-
-def _ordinal_depth(tree: BrouwerTree) -> int:
-    return 0 if not tree.children else 1 + max(map(_ordinal_depth, tree.children))
-
-
-def _labelled_depth(tree) -> int:
-    return 0 if not tree.edges else 1 + max(_labelled_depth(sub) for _, sub in tree.edges)
-
-
-def test_trees_store_the_field_hash_and_the_depth():
-    # stored at construction, so set orders and memo keys stay as before
-    for tree in enumerate_trees(2, 3) + enumerate_trees(3, 2):
-        assert hash(tree) == _field_hash(tree)
-        assert tree.depth == _ordinal_depth(tree)
-    space = cantor_space(2)
-    for tree in enumerate_labelled(space, 2, (), 2):
-        assert hash(tree) == _field_hash(tree)
-        assert tree.depth == _labelled_depth(tree)
 
 
 def test_disjoint_covers_of_the_cantor_root():

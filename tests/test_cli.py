@@ -144,8 +144,7 @@ def test_continuity_rejects_a_tail_reader(tmp_path):
                              "builtin": "shift"}),
 ])
 def test_stdout_is_the_same_with_and_without_out(tmp_path, capsys, command, flag, data):
-    # with --out the printed witness block is cut from the report's text,
-    # without it the block is encoded on its own
+    # --out only adds a file: the printed block is cut from the same text
     argv = [command, flag, _write(tmp_path / "input.json", data)]
     assert main(argv) == 0
     alone = capsys.readouterr().out

@@ -14,6 +14,7 @@ from sheafbench.jsonio import (
     parse_element,
     rel_from_json,
     space_from_json,
+    witness_block,
 )
 from sheafbench.points import Point
 from sheafbench.rules import ExtractionTranscript
@@ -165,3 +166,13 @@ def test_dump_report_is_order_insensitive():
     b = dump_report(jsonable({"a": Point((), 0), "b": {3, 2, 1}}))
     assert a == b
     assert a.endswith("\n")
+
+
+def test_witness_block_is_the_witnesses_encoded_on_their_own():
+    # strings with newlines and indents, and a nested "witnesses" key, do not
+    # move the cut
+    witnesses = [{"note": "a\n  \"witnesses\": [\n}", "witnesses": [1, {"b": []}]},
+                 "\n  \"witnesses\": ", [[], {}]]
+    report = jsonable({"command": "fan", "config": {"witnesses": "x\n"},
+                       "verdicts": [{"check": "fan"}], "witnesses": witnesses})
+    assert witness_block(dump_report(report)) == dump_report(witnesses).rstrip("\n")

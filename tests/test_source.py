@@ -3,7 +3,6 @@ import ast
 import importlib
 import importlib.util
 import inspect
-import json
 import pathlib
 
 import sheafbench
@@ -271,10 +270,3 @@ def test_every_defaulted_parameter_is_set_by_some_call():
         if (function, parameter) not in passed and (function, index) not in passed
     )
     assert unset == []
-
-
-def test_the_trajectory_ends_at_the_current_source_size():
-    # BENCH_trajectory.json lines up the PRs that changed src/; its last
-    # entry must describe the tree it is committed in
-    trajectory = json.loads((TESTS.parent / "BENCH_trajectory.json").read_text(encoding="utf-8"))
-    assert trajectory["entries"][-1]["src_lines"] == _load(BENCH / "sweep.py").src_lines()
