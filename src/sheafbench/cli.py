@@ -9,6 +9,7 @@ cannot conclude, and 2 when the inputs cannot be read.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from . import formulas as F
@@ -39,7 +40,10 @@ _size = _at_least(1)
 _fuel = _at_least(0)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command line's parser, built once per process: parsing reads it
+    and leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="sheafbench",
         description="forcing, bar/fan/continuity extractions, and self-checks "

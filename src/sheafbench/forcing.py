@@ -23,7 +23,9 @@ model reads from one point index (:func:`points.incidence`) built with it.
 Forcing runs a set of stages at a time: one call answers, for a subformula
 under an environment, which stages of a given set force it, and the run's
 memo keeps per (subformula, env) the stages evaluated so far and those
-forced, so each call evaluates only stages it has not seen.  A conjunction
+forced, so each call evaluates only stages it has not seen.  A first ask
+stores the demanded set itself as its entry, shared with the caller; only
+a later ask about unseen stages builds unions.  A conjunction
 asks its right side only where its left holds; a disjunction's zone asks
 its right side only where its left fails, an implication's only where its
 left holds; a quantifier tries each universe value only at the elements
@@ -46,6 +48,11 @@ triples demanded this way; saturating a zone ticks none.  Which triples a
 verdict demands depends only on the verdicts of the triples that demand
 them, not on the order they are evaluated in, so the count, and with it
 fuel, is the one a stage-at-a-time evaluation would reach.
+
+A rule reads its numerical content off a witness zone, the first witness
+of an existential at each element, in the run that forced its premise
+(:func:`exists_witness_sieve`): forcing the premise at the root built that
+zone already, so the premise is forced once and the read costs no step.
 """
 from __future__ import annotations
 
@@ -265,13 +272,19 @@ def _holds(run: _Run, stages: frozenset, node, env: dict) -> frozenset:
     key = (node, run.env_key(node, env))
     entry = run.memo.get(key)
     if entry is None:
-        entry = run.memo[key] = (set(), set())
+        if not stages:
+            return stages
+        # the first ask keeps the demanded set itself: no copy
+        run.tick(len(stages))
+        holds = frozenset(_evaluate(run, stages, node, env))
+        run.memo[key] = (stages, holds)
+        return holds
     seen, holds = entry
     new = stages - seen
     if new:
         run.tick(len(new))
-        holds.update(_evaluate(run, new, node, env))
-        seen |= new
+        holds = holds.union(_evaluate(run, new, node, env))
+        run.memo[key] = (seen | new, holds)
     return stages & holds
 
 
@@ -382,16 +395,27 @@ def _zone(run: _Run, node, env: dict):
     return got
 
 
-def exists_witness_sieve(model: ForcingModel, stage, node: F.Exists,
+def exists_witness_sieve(model: ForcingModel, stage, premise, node: F.Exists,
                          env: Mapping | None = None, fuel: int | None = None):
-    """Members below ``stage`` with a witness, first witness recorded each.
+    """Force a closed ``premise`` at ``stage``, then read the witness sieve
+    of its existential subformula ``node`` under ``env`` in the same run.
 
-    This is the sieve whose covering makes the existential ``node`` forced;
-    the rule pipelines use it to read off their numerical content.  It is
-    read off the existential's zone, which is built over the whole basis.
+    Returns the verdict and, when ``premise`` is forced, the members below
+    ``stage`` with a witness for ``node``, each with its first witness: the
+    sieve whose covering makes ``node`` forced, from which the rule
+    pipelines read their numerical content (``()`` when it is not forced).
+    It is read off the existential's zone, built over the whole basis.  The
+    rules ask at D(<>), whose down-set is the whole basis, for ``node`` the
+    premise itself or the body of a forced ``forall`` at one of its values;
+    the premise's run then built that zone already, so the read demands no
+    triple the premise did not, and the fuel is the premise's.
     """
-    zone = _zone(_Run(model, fuel), node, dict(env or {}))
-    return tuple((v, zone[v]) for v in model.space.basis.down(stage) if v in zone)
+    model.space.basis.require(stage)
+    run = _Run(model, fuel)
+    if not _force(run, stage, premise, {}):
+        return False, ()
+    zone = _zone(run, node, dict(env or {}))
+    return True, tuple((v, zone[v]) for v in model.space.basis.down(stage) if v in zone)
 
 
 # ------------------------------------------------------------------ atoms

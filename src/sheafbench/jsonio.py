@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from json.encoder import encode_basestring_ascii as _string
 from typing import Mapping
 
 from .double import DOpen, DoubleSpace, SingletonOpen, build_double
@@ -277,8 +278,42 @@ def jsonable(obj):
 
 def dump_report(rendered) -> str:
     """Canonical text of a :func:`jsonable` rendering: sorted keys,
-    two-space indent, final newline."""
-    return json.dumps(rendered, sort_keys=True, indent=2) + "\n"
+    two-space indent, final newline.
+
+    The text is ``json.dumps(rendered, sort_keys=True, indent=2)``'s, built
+    in one direct pass: with an indent ``json`` leaves its C encoder for a
+    pure-Python one.  Keys must be strings, as :func:`jsonable` makes them.
+    """
+    return _encode(rendered, "\n") + "\n"
+
+
+def _encode(obj, newline: str) -> str:
+    """JSON text of ``obj`` whose nested lines start with ``newline``."""
+    if isinstance(obj, str):
+        return _string(obj)
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    if isinstance(obj, float):
+        # as json writes it, NaN and the infinities included
+        return json.dumps(obj)
+    inner = newline + "  "
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        items = [_encode(value, inner) for value in obj]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [_string(key) + ": " + _encode(value, inner) for key, value in sorted(obj.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 _WITNESS_KEY = '\n  "witnesses": '

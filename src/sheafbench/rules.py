@@ -130,20 +130,22 @@ def _table_model(space: TruncatedSpace, images: Mapping) -> tuple[DoubleSpace, F
     return double, with_universe_value(model, seq_sort, graph)
 
 
-def _witness_map(model: ForcingModel, double: DoubleSpace, premise, fuel):
-    """First witnesses of the generic instance of a forced ``forall/exists``."""
-    env = {premise.var: (premise.sort, generic_value(double.inner.branch))}
-    pairs = exists_witness_sieve(model, double.d(()), premise.body, env=env, fuel=fuel)
-    inner = {m.seq: w for m, w in pairs if isinstance(m, DOpen)}
-    return pairs, inner
+def _premise_witnesses(bar: Bar, text: str, fuel):
+    """Force a bar premise at D(<>) of the double and read, in the same run,
+    the witness sieve of its generic instance.
 
-
-def _premise_model(bar: Bar, text: str):
-    """The double and model a bar premise is forced in, the parsed premise
-    and its ``premise`` stage payload."""
+    Returns the double, its model, the parsed premise, the ``premise``
+    stage payload, the verdict, the sieve's pairs (``()`` when the premise
+    is not forced) and the first witness of each inner open.
+    """
     double, model = _double_model(bar.space, bar=bar)
     premise = F.parse_formula(text)
-    return double, model, premise, {"formula": str(premise), "root": double.d(())}
+    root = double.d(())
+    env = {premise.var: (premise.sort, generic_value(double.inner.branch))}
+    forced, pairs = exists_witness_sieve(model, root, premise, premise.body, env=env, fuel=fuel)
+    inner = {m.seq: w for m, w in pairs if isinstance(m, DOpen)}
+    stage = {"formula": str(premise), "root": root}
+    return double, model, premise, stage, forced, pairs, inner
 
 
 def _forced_premise(bar: Bar, text: str, fuel):
@@ -152,10 +154,10 @@ def _forced_premise(bar: Bar, text: str, fuel):
     Returns the double, its model, the parsed premise, the ``premise`` and
     ``witness-sieve`` stages, and the first witness of each inner open.
     """
-    double, model, premise, stage = _premise_model(bar, text)
-    if not force(model, stage["root"], premise, fuel=fuel):
+    double, model, premise, stage, forced, pairs, inner_witness = _premise_witnesses(
+        bar, text, fuel)
+    if not forced:
         raise PremiseNotForced("premise")
-    pairs, inner_witness = _witness_map(model, double, premise, fuel)
     stages = [("premise", stage), ("witness-sieve", {"pairs": pairs})]
     return double, model, premise, stages, inner_witness
 
@@ -164,13 +166,14 @@ def _recheck_premise(transcript: ExtractionTranscript, text: str, fuel) -> tuple
     """Re-force a bar premise in a fresh model and re-read its witness map.
 
     Returns the model, the parsed premise, the witness map and the names
-    of the ``premise`` and ``witness-sieve`` stages that fail.
+    of the ``premise`` and ``witness-sieve`` stages that fail; an unforced
+    premise reads an empty witness map.
     """
-    double, model, premise, stage = _premise_model(transcript.source, text)
+    _, model, premise, stage, forced, pairs, inner_witness = _premise_witnesses(
+        transcript.source, text, fuel)
     failed = []
-    if not force(model, stage["root"], premise, fuel=fuel) or transcript.stage("premise") != stage:
+    if not forced or transcript.stage("premise") != stage:
         failed.append("premise")
-    pairs, inner_witness = _witness_map(model, double, premise, fuel)
     if pairs != transcript.stage("witness-sieve")["pairs"]:
         failed.append("witness-sieve")
     return model, premise, inner_witness, failed
@@ -494,23 +497,23 @@ def continuity_rule(rel: Mapping, space: TruncatedSpace, fuel: int | None = None
     root = double.d(())
     formula = F.parse_formula(UNIQUE_IMAGE)
 
-    if not force(model, root, formula, fuel=fuel):
+    forced, pairs = exists_witness_sieve(model, root, formula, formula, fuel=fuel)
+    if not forced:
         rel_atom = F.parse_formula("Rel(pi, b)")
         eq_atom = F.parse_formula("Eq(b, c)")
-        forced = [
+        candidates = [
             x
             for x in model.universe("SeqN")
             if force(model, root, rel_atom, env={"b": ("SeqN", x)}, fuel=fuel)
         ]
-        for i, x in enumerate(forced):
-            for y in forced[i + 1 :]:
+        for i, x in enumerate(candidates):
+            for y in candidates[i + 1 :]:
                 env = {"b": ("SeqN", x), "c": ("SeqN", y)}
                 if not force(model, root, eq_atom, env=env, fuel=fuel):
                     raise NotUnique(x, y)
         raise NotForced("the unique-image premise fails at the root")
     stages.append(("premise", {"formula": str(formula), "root": root}))
 
-    pairs = exists_witness_sieve(model, root, formula, fuel=fuel)
     chosen = dict(pairs).get(root)
     if chosen is None:
         raise NotForced("no witness for the image at the root")
@@ -551,13 +554,13 @@ def _recheck_continuity(transcript: ExtractionTranscript, fuel: int | None = Non
     double, model = _table_model(space, images)
     formula = F.parse_formula(UNIQUE_IMAGE)
     root = double.d(())
-    if not force(model, root, formula, fuel=fuel) or (
-        transcript.stage("premise") != {"formula": str(formula), "root": root}
-    ):
+    forced, witnesses = exists_witness_sieve(model, root, formula, formula, fuel=fuel)
+    if not forced or transcript.stage("premise") != {"formula": str(formula), "root": root}:
         failed.append("premise")
 
+    # the section is the first witness at the root, re-read from the sieve
     chosen = transcript.stage("section")["value"]
-    if not force(model, root, formula.body, env={formula.var: (formula.sort, chosen)}, fuel=fuel):
+    if chosen != dict(witnesses).get(root):
         failed.append("section")
 
     pairs = transcript.stage("graph")["pairs"]

@@ -53,9 +53,16 @@ def force_and_count(model, stage, formula, env=None, fuel=None):
     return _force(run, stage, formula, dict(env or {})), run.steps
 
 
+def witness_sieve_and_count(model, stage, node, env=None, fuel=None):
+    """Members below ``stage`` with a witness for ``node``, each with its
+    first witness, and the step count of the fresh run that read them."""
+    run = _Run(model, fuel)
+    zone = _zone(run, node, dict(env or {}))
+    return tuple((v, zone[v]) for v in model.space.basis.down(stage) if v in zone), run.steps
+
+
 def exists_witness_sieve(model, stage, node, env=None, fuel=None):
-    zone = _zone(_Run(model, fuel), node, dict(env or {}))
-    return tuple((v, zone[v]) for v in model.space.basis.down(stage) if v in zone)
+    return witness_sieve_and_count(model, stage, node, env, fuel)[0]
 
 
 def _force(run: _Run, stage, node, env: dict) -> bool:

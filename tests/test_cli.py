@@ -1,8 +1,13 @@
 """End-to-end command line tests: verdicts, exit codes, reports, determinism."""
 import json
+import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import sheafbench
 from sheafbench.cli import main
 from sheafbench.jsonio import MAX_ELEMENTS
 from sheafbench.points import eventually_constant_points
@@ -290,3 +295,36 @@ def test_reports_are_byte_identical_across_runs(tmp_path, capsys):
 
     assert first.read_bytes() == second.read_bytes()
     assert stdout_first == stdout_second
+
+
+def _fresh(argv, cwd):
+    """Exit code, stdout and stderr of one call in a process of its own."""
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(sheafbench.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "sheafbench", *argv], cwd=cwd, env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def test_consecutive_calls_in_one_process_match_fresh_calls(tmp_path, capsys):
+    # the parser is built once per process: a usage error must leave nothing
+    # behind for the calls after it
+    bar = _write(tmp_path / "bar.json", {"space": _cantor(3), "generators": [[0, 0], [0, 1], [1]]})
+    rel = _write(tmp_path / "rel.json", {"space": _BAIRE, "builtin": "shift"})
+    calls = [["fan", "--bar", bar, "--fuel", "-1"],
+             ["fan", "--bar", bar, "--out", "{}.json"],
+             ["continuity", "--rel", rel, "--out", "{}.json"]]
+    for i, argv in enumerate(calls):
+        here = [arg.format(tmp_path / f"here{i}") for arg in argv]
+        if i == 0:
+            with pytest.raises(SystemExit) as exit_info:
+                main(here)
+            code = exit_info.value.code
+        else:
+            code = main(here)
+        captured = capsys.readouterr()
+        fresh = [arg.format(tmp_path / f"fresh{i}") for arg in argv]
+        assert (code, captured.out, captured.err) == _fresh(fresh, tmp_path)
+        assert code == (2, 0, 0)[i]
+        if i:
+            assert (tmp_path / f"here{i}.json").read_bytes() == (
+                tmp_path / f"fresh{i}.json").read_bytes()

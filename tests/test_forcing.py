@@ -102,7 +102,9 @@ def test_existential_prefix_in_bar_forced_at_root():
     phi = parse_formula("exists u:FinSeq. Prefix(pi,u) & InBar(u)")
     assert force(model, dbl.d(()), phi)
 
-    got = dict(exists_witness_sieve(model, dbl.d(()), phi))
+    forced, pairs = exists_witness_sieve(model, dbl.d(()), phi, phi)
+    assert forced
+    got = dict(pairs)
     assert dbl.d(()) not in got
     for v in ((0,), (1,), (0, 0), (1, 1)):
         assert got[dbl.d(v)] == (v[0],)
@@ -313,14 +315,29 @@ _GENERIC_CLAUSES = ("exists n:Nat. App(pi, n, 1)", "App(pi, 1, 0) | App(pi, 2, 1
                     "exists u:FinSeq. Prefix(pi, u) & InBar(u)",
                     "exists u:FinSeq. InBar(u) & (Prefix(pi, u) | App(pi, 0, 1))",
                     rules.FAN_PREMISE)
+# closed premises whose witness sieve a rule reads from the premise's own
+# run: the fan and bar premises (forced over the level-2 bar of the
+# force-many double), a forall whose body is always forced, and an exists
+_PREMISES = (rules.FAN_PREMISE, rules.BAR_PREMISE, "forall a:Seq2. exists n:Nat. App(a, 0, n)",
+             "exists n:Nat. App(pi, 1, n)")
+
+
+def _witness_instance(model, premise) -> tuple:
+    """The existential whose sieve a premise yields, and its environment: the
+    premise itself, or a forall's body at the last value of its universe
+    (the generic, for a stream sort)."""
+    if isinstance(premise, Exists):
+        return premise, {}
+    return premise.body, {premise.var: (premise.sort, model.universe(premise.sort)[-1])}
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(range(len(_DIFFERENTIAL))), st.integers(0, 2**32 - 1),
        st.none() | st.sampled_from(_ILL_FORMED), st.sampled_from((And, Or, Implies)),
-       st.booleans(), st.none() | st.sampled_from(_GENERIC_CLAUSES))
+       st.booleans(), st.none() | st.sampled_from(_GENERIC_CLAUSES),
+       st.sampled_from(_PREMISES))
 def test_set_at_a_time_forcing_matches_the_per_stage_oracle(which, seed, bad, join, first,
-                                                            clause):
+                                                            clause, premise):
     model, root = _DIFFERENTIAL[which]
     rng = random.Random(seed)
     phi = random_formula(rng, rng.randint(0, 3), n_max=rng.choice((2, 8)))
@@ -340,10 +357,23 @@ def test_set_at_a_time_forcing_matches_the_per_stage_oracle(which, seed, bad, jo
             force(model, stage, phi, fuel=steps - 1)
         assert err.value.steps == steps
         assert force(model, stage, phi, fuel=steps) == verdict
-    for node in _subformulas(phi):
-        if isinstance(node, Exists) and set(node.free) <= set(model.constants):
-            assert _outcome(lambda: exists_witness_sieve(model, root, node)) == _outcome(
-                lambda: forcing_oracle.exists_witness_sieve(model, root, node)), node
+    # each closed existential as its own premise, then a rule premise; the
+    # sieve read off the premise's run is the oracle's from a fresh run, and
+    # reading it takes no fuel past the premise's own steps
+    closed = [node for node in _subformulas(phi)
+              if isinstance(node, Exists) and set(node.free) <= set(model.constants)]
+    premise = parse_formula(premise)
+    for formula, (node, env) in [(node, (node, {})) for node in closed] + [
+            (premise, _witness_instance(model, premise))]:
+        expected = _outcome(lambda: forcing_oracle.force_and_count(model, root, formula))
+        if expected is ModelError:
+            assert _outcome(lambda: exists_witness_sieve(model, root, formula, node, env)) \
+                is ModelError
+            continue
+        verdict, steps = expected
+        pairs = forcing_oracle.exists_witness_sieve(model, root, node, env) if verdict else ()
+        assert exists_witness_sieve(model, root, formula, node, env, fuel=steps) == (
+            verdict, pairs), formula
 
 
 @settings(max_examples=100, deadline=None)

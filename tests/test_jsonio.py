@@ -2,6 +2,9 @@
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import json_oracle
 
 from sheafbench.double import DOpen, DoubleSpace, SingletonOpen
 from sheafbench.jsonio import (
@@ -166,6 +169,26 @@ def test_dump_report_is_order_insensitive():
     b = dump_report(jsonable({"a": Point((), 0), "b": {3, 2, 1}}))
     assert a == b
     assert a.endswith("\n")
+
+
+# every value a rendering may hold: nested and empty containers, quotes,
+# backslashes, control and non-ASCII characters, large and negative ints,
+# floats (NaN and infinities included) and None
+_SCALARS = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+            | st.floats(allow_nan=True, allow_infinity=True)
+            | st.text(st.characters(max_codepoint=0x1F600) | st.sampled_from('"\\/\n\t\x00\x7f')))
+_RENDERINGS = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=24)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_RENDERINGS)
+@example({"": [], "a\"b": {}, "\\": [[], {}], "\u00e9\U0001F600": "\x01\x1f\u2028"})
+@example([-(2**64), 2**64, -0.0, 1e-7, 1e16, 123.456, None, True, False])
+def test_dump_report_writes_what_json_writes(rendered):
+    assert dump_report(rendered) == json_oracle.dump_report(rendered)
 
 
 def test_witness_block_is_the_witnesses_encoded_on_their_own():

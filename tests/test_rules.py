@@ -7,9 +7,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import forcing_oracle
 from modulus_oracle import scan_moduli
-from sheafbench import rules, suites
+from sheafbench import formulas, rules, suites
 from sheafbench.double import DOpen
+from sheafbench.forcing import FuelExhausted, generic_value
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_monotone_bar
 from sheafbench.rules import (
@@ -409,6 +411,16 @@ def test_bar_recheck_compares_the_cover_with_the_re_read_witnesses():
     assert recheck_transcript(_retouched(transcript, "cover", witnesses=moved)) == ("cover",)
 
 
+def test_continuity_recheck_compares_the_section_with_the_re_read_witness():
+    # a relabelled copy of the chosen table also forces the premise's body
+    # at the root and has the same graph: only the re-read first witness
+    # tells them apart
+    transcript = _continuity_transcript()
+    chosen = transcript.stage("section")["value"]
+    copy = dataclasses.replace(chosen, label="copy")
+    assert recheck_transcript(_retouched(transcript, "section", value=copy)) == ("section",)
+
+
 def test_fan_recheck_wants_the_least_level_of_genuine_witnesses():
     # level 3 also holds genuine prefixes in the bar, but level 2 does first
     transcript = _fan_transcript()
@@ -441,3 +453,55 @@ def test_each_rule_and_its_recheck_build_a_model_apiece(monkeypatch):
         assert len(built) == 1
         assert recheck_transcript(transcript) == ()
         assert len(built) == 2 and built[0] is not built[1]
+
+
+def _premise_and_sieve_steps(made):
+    """Step counts of fresh per-stage runs of a transcript's premise and of
+    its witness sieve, in a model built from the transcript's input."""
+    transcript = made()
+    if transcript.rule == "continuity":
+        space, table = transcript.source
+        double, model = rules._table_model(space, table)
+        premise = formulas.parse_formula(rules.UNIQUE_IMAGE)
+        node, env = premise, {}
+    else:
+        bar = transcript.source
+        double, model = rules._double_model(bar.space, bar=bar)
+        premise = formulas.parse_formula(
+            rules.FAN_PREMISE if transcript.rule == "fan" else rules.BAR_PREMISE)
+        node = premise.body
+        env = {premise.var: (premise.sort, generic_value(bar.space.branch))}
+    root = double.d(())
+    _, premise_steps = forcing_oracle.force_and_count(model, root, premise)
+    _, sieve_steps = forcing_oracle.witness_sieve_and_count(model, root, node, env)
+    return transcript, premise_steps, sieve_steps
+
+
+def _concludes(call, fuel) -> bool:
+    try:
+        call(fuel)
+    except FuelExhausted:
+        return False
+    return True
+
+
+@pytest.mark.parametrize("made, premise, sieve", [
+    (_fan_transcript, 1593, 231),
+    (_bar_transcript, 533, 57),
+    (_continuity_transcript, 548, 547),
+], ids=["fan", "bar", "continuity"])
+def test_least_fuel_is_the_larger_of_the_premise_and_sieve_steps(made, premise, sieve):
+    # the witness sieve is read from the premise's own run, so a rule and
+    # its recheck need no fuel past the two fresh runs' larger count
+    transcript, premise_steps, sieve_steps = _premise_and_sieve_steps(made)
+    assert (premise_steps, sieve_steps) == (premise, sieve)
+    least = max(premise, sieve)
+    source = transcript.source
+    rule = {
+        "fan": lambda fuel: fan_rule(source, fuel=fuel),
+        "bar": lambda fuel: bar_rule(source, fuel=fuel),
+        "continuity": lambda fuel: continuity_rule(source[1], source[0], fuel=fuel),
+    }[transcript.rule]
+    for call in (rule, lambda fuel: recheck_transcript(transcript, fuel=fuel)):
+        assert _concludes(call, least) and not _concludes(call, least - 1)
+    assert recheck_transcript(transcript, fuel=least) == ()
