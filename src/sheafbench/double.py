@@ -15,7 +15,6 @@ from typing import Iterable
 
 from .site import (
     Basis,
-    CoverResult,
     CoveringSystem,
     FormalSpace,
     Sieve,
@@ -68,10 +67,10 @@ class SingletonOpen:
 class DoubleTopology(Topology):
     """Covers computed from the inner space in closed form.
 
-    A sieve covers D(u) iff its D-part covers u inside the inner space; the
-    matching point opens are then automatically members because sieves are
-    downward closed.  A sieve covers {q} iff it contains {q}.  Whole zones
-    are covered the same way, in one inner pass.
+    A sieve covers D(u) iff its D-part covers u inside the inner space, at
+    the same depth; the matching point opens are then automatically members
+    because sieves are downward closed.  A sieve covers {q} iff it contains
+    {q}.
     """
 
     def __init__(self, basis: Basis, inner: TruncatedSpace):
@@ -83,26 +82,20 @@ class DoubleTopology(Topology):
         dpart = (v.seq for v in sieve.members if isinstance(v, DOpen))
         return Sieve.from_generators(self.inner.basis, x.seq, dpart)
 
-    def cover(self, x, sieve: Sieve) -> CoverResult:
-        self.basis.require(x)
-        if isinstance(x, SingletonOpen):
-            hit = sieve.contains(x)
-            return CoverResult(hit, depth=0 if hit else None,
-                               frontier=() if hit else (x,))
-        res = self.inner.topology.cover(x.seq, self.inner_sieve(x, sieve))
-        return CoverResult(
-            res.covered,
-            depth=res.depth,
-            frontier=tuple(DOpen(v) for v in res.frontier),
-        )
-
-    def covered(self, zone) -> frozenset:
-        """The zone's point opens, and D(u) for each u the inner topology
-        covers from the zone's D-part (downward closed in the inner basis)."""
-        inner = self.inner.topology.covered(
+    def ranks(self, zone) -> dict:
+        """The zone's point opens at rank 0, and D(u) at the rank the inner
+        topology gives u from the zone's D-part (downward closed in the
+        inner basis)."""
+        inner = self.inner.topology.ranks(
             frozenset(x.seq for x in zone if isinstance(x, DOpen)))
-        return frozenset(x for x in zone if isinstance(x, SingletonOpen)).union(
-            map(DOpen, inner))
+        got = dict.fromkeys((x for x in zone if isinstance(x, SingletonOpen)), 0)
+        got.update((DOpen(u), r) for u, r in inner.items())
+        return got
+
+    def _scope(self, x) -> Iterable:
+        if isinstance(x, SingletonOpen):
+            return (x,)
+        return map(DOpen, self.inner.topology._scope(x.seq))
 
 
 @dataclass(frozen=True)

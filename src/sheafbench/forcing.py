@@ -385,8 +385,9 @@ def _zone(run: _Run, node, env: dict):
             inner_env[node.var] = (node.sort, c)
             held = _holds(run, pending, node.body, inner_env)
             found = held if wanted else pending - held
-            first.update(dict.fromkeys(found, c))
-            pending -= found
+            if found:
+                first.update(dict.fromkeys(found, c))
+                pending -= found
         got = {v: first[v] for v in model.space.basis.elements if v in first}
     else:
         raise ModelError(f"no zone for {node!r}")

@@ -2,9 +2,11 @@
 
 Everything here is deliberately small: a basis is a finite preorder given
 by the down-set of each element and nothing else, a sieve is its
-member set (the union of its generators' down-sets), and cover questions are
-settled by saturating an inductive definition over the fragment below the
-root.  All values are immutable after construction, so they can be shared
+member set (the union of its generators' down-sets), and every cover
+question is read off one kernel per kind of space, :meth:`Topology.ranks`:
+the least cover depth of each element a downward closed zone covers, which
+for a covering system is one layered saturation of its rules over the whole
+basis.  All values are immutable after construction, so they can be shared
 freely and cached results are safe to reuse.
 """
 from __future__ import annotations
@@ -350,73 +352,54 @@ class CoverResult:
 
 
 class Topology:
-    """Decision procedure for covering sieves over a basis."""
+    """Decision procedure for covering sieves over a basis.
+
+    Each kind of space gives one kernel, :meth:`ranks`; the sieve test
+    :meth:`cover` and the zone test :meth:`covered` both read it.
+    """
 
     def __init__(self, basis: Basis):
         self.basis = basis
 
-    def cover(self, a: Element, sieve: Sieve) -> CoverResult:
-        raise NotImplementedError
+    def ranks(self, zone) -> Mapping[Element, int]:
+        """Every element a downward closed ``zone`` covers, with its least cover depth.
 
-    def covered(self, zone) -> frozenset:
-        """Every element ``a`` whose sieve ``zone & below(a)`` covers ``a``.
-
-        ``zone`` must be downward closed.  The covered set is then the
-        inductive closure of ``zone`` under the covering families, so one
-        pass answers every element at once.
+        The entry of ``a`` depends only on ``zone & below(a)``, so one map
+        answers the cover question of every element at once.
         """
         raise NotImplementedError
+
+    def _scope(self, a: Element) -> Iterable[Element]:
+        """The elements below ``a`` a failing cover of ``a`` lists when uncovered."""
+        return self.basis.down(a)
+
+    def cover(self, a: Element, sieve: Sieve) -> CoverResult:
+        """Whether ``sieve`` covers ``a``: its least depth, or else the frontier."""
+        self.basis.require(a)
+        ranks = self.ranks(sieve.members)
+        depth = ranks.get(a)
+        if depth is None:
+            return CoverResult(False, frontier=tuple(v for v in self._scope(a) if v not in ranks))
+        return CoverResult(True, depth=depth)
+
+    def covered(self, zone) -> frozenset:
+        """Every element ``a`` whose sieve ``zone & below(a)`` covers ``a``."""
+        return frozenset(self.ranks(zone))
 
 
 class GeneratedTopology(Topology):
     """Cover relation inductively generated by a covering system.
 
     A sieve covers ``a`` when ``a`` is reachable from the sieve's members by
-    the rules "each family together derives its element".  Saturation over the
-    fragment below ``a`` computes the minimal derivation depth of every
-    element.
+    the rules "each family together derives its element"; an element's rank
+    is its minimal derivation depth.  Ranks are kept per zone, since the
+    axiom checks ask about the same few sieves many times over.
     """
 
     def __init__(self, system: CoveringSystem):
         super().__init__(system.basis)
         self.system = system
-        self._depths: dict[tuple, Mapping[Element, int]] = {}
-
-    def _depth_map(self, a: Element, sieve: Sieve) -> Mapping[Element, int]:
-        key = (a, sieve.members)
-        got = self._depths.get(key)
-        if got is not None:
-            return got
-        fragment = self.basis.down(a)
-        depths: dict[Element, int] = {v: 0 for v in fragment if v in sieve.members}
-        rules = [
-            (v, alpha)
-            for v in fragment
-            for alpha in self.system.families_at(v)
-        ]
-        changed = True
-        while changed:
-            changed = False
-            for v, alpha in rules:
-                if any(x not in depths for x in alpha):
-                    continue
-                cand = 1 + max((depths[x] for x in alpha), default=0)
-                if depths.get(v, cand + 1) > cand:
-                    depths[v] = cand
-                    changed = True
-        self._depths[key] = depths
-        return depths
-
-    def cover(self, a: Element, sieve: Sieve) -> CoverResult:
-        self.basis.require(a)
-        depths = self._depth_map(a, sieve)
-        depth = depths.get(a)
-        if depth is None:
-            missing = tuple(
-                v for v in self.basis.down(a) if v not in depths
-            )
-            return CoverResult(False, frontier=missing)
-        return CoverResult(True, depth=depth)
+        self._ranks: dict[frozenset, Mapping[Element, int]] = {}
 
     @cached_property
     def _rules(self) -> tuple:
@@ -429,26 +412,40 @@ class GeneratedTopology(Topology):
                 uses.setdefault(x, []).append(i)
         return tuple(rules), uses
 
-    def covered(self, zone) -> frozenset:
-        """One saturation of ``zone`` over the whole basis.
+    def ranks(self, zone) -> Mapping[Element, int]:
+        """One saturation of ``zone`` over the whole basis, a layer per depth.
 
         A family's members all lie below its element, so a derivation of
-        ``a`` from ``zone`` only uses ``zone & below(a)``: this is the
-        per-element cover test of every element at once.
+        ``a`` from ``zone`` only uses ``zone & below(a)``.  Zone elements
+        have rank 0; a rule whose last premise is ranked in layer ``d``
+        ranks its element ``d + 1`` unless it already has a rank.
         """
+        zone = frozenset(zone)  # a frozenset itself is not copied
+        got = self._ranks.get(zone)
+        if got is not None:
+            return got
         rules, uses = self._rules
         missing = [len(alpha) for _, alpha in rules]
-        # an empty family derives its element from nothing
-        got = set(zone).union(v for v, alpha in rules if not alpha)
-        todo = list(got)
-        while todo:
-            for i in uses.get(todo.pop(), ()):
-                missing[i] -= 1
-                v = rules[i][0]
-                if not missing[i] and v not in got:
-                    got.add(v)
-                    todo.append(v)
-        return frozenset(got)
+        ranks = dict.fromkeys(zone, 0)
+        layer = list(ranks)
+        # an empty family derives its element from nothing, at depth 1
+        heads = [v for v, alpha in rules if not alpha]
+        depth = 0
+        while layer or heads:
+            for x in layer:
+                for i in uses.get(x, ()):
+                    missing[i] -= 1
+                    if not missing[i]:
+                        heads.append(rules[i][0])
+            depth += 1
+            layer = []
+            for v in heads:
+                if v not in ranks:
+                    ranks[v] = depth
+                    layer.append(v)
+            heads = []
+        self._ranks[zone] = ranks
+        return ranks
 
     def derivation(self, a: Element, sieve: Sieve):
         """Minimal-depth derivation tree for a covered instance.
@@ -458,10 +455,10 @@ class GeneratedTopology(Topology):
         enumeration order whose premises all derive strictly earlier is used,
         which keeps transcripts deterministic.
         """
-        result = self.cover(a, sieve)
-        if not result.covered:
+        self.basis.require(a)
+        depths = self.ranks(sieve.members)
+        if a not in depths:
             raise NotACover(f"{sieve!r} does not cover {a!r}")
-        depths = self._depth_map(a, sieve)
 
         def build(v):
             if v in sieve.members:
@@ -496,18 +493,14 @@ def cover_induction(
     covering family on the enumerated basis; the returned transcript replays
     the cover derivation with the predicate verified at every node.
     """
-    basis = system.basis
-    topology = GeneratedTopology(system)
-    for x in basis.elements:
+    for x in system.basis.elements:
         for alpha in system.families_at(x):
             if all(predicate(y) for y in alpha) and not predicate(x):
                 raise HypothesisFails(x, alpha)
     for y in sorted(sieve.members, key=element_key):
         if not predicate(y):
             raise HypothesisFails(y, None)
-    if not topology.cover(a, sieve).covered:
-        raise NotACover(f"{sieve!r} does not cover {a!r}")
-    derivation = topology.derivation(a, sieve)
+    derivation = GeneratedTopology(system).derivation(a, sieve)
 
     def annotate(node):
         if node[0] == "base":

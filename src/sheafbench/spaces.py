@@ -13,7 +13,6 @@ from typing import Callable, Iterable
 
 from .site import (
     Basis,
-    CoverResult,
     CoveringSystem,
     FormalSpace,
     GeneratedTopology,
@@ -108,29 +107,28 @@ class BracketTopology(Topology):
         self.branch = branch
         self.depth = depth
 
-    def cover(self, u: Seq, sieve: Sieve) -> CoverResult:
-        self.basis.require(u)
-        for q in range(len(u), self.depth + 1):
-            if all(sieve.contains(v) for v in bracket(self.branch, u, q)):
-                return CoverResult(True, depth=q)
-        frontier = tuple(
-            v for v in bracket(self.branch, u, self.depth) if not sieve.contains(v)
-        )
-        return CoverResult(False, frontier=frontier)
+    def ranks(self, zone) -> dict:
+        """One bottom-up pass: a zone element's rank is its own length, and
+        a non-leaf outside the zone with every child ranked takes the
+        largest of their ranks.
 
-    def covered(self, zone) -> frozenset:
-        """One bottom-up pass: ``u`` is covered iff it lies in ``zone`` or is
-        not a leaf and all its children are covered.
-
-        For a downward closed zone this is the uniform-bracket test: brackets
-        of the children at their own depths extend to one common depth.
+        For a downward closed zone the rank of ``u`` is the least depth of a
+        uniform bracket of ``u`` inside the zone: brackets of the children
+        at their own depths extend to one common depth.
         """
-        got = set()
+        got: dict = {}
         for u in reversed(self.basis.elements):  # longest sequences first
-            if u in zone or (len(u) < self.depth and all(
-                    u + (i,) in got for i in range(self.branch))):
-                got.add(u)
-        return frozenset(got)
+            if u in zone:
+                got[u] = len(u)
+            elif len(u) < self.depth:
+                kids = [got.get(u + (i,)) for i in range(self.branch)]
+                if None not in kids:
+                    got[u] = max(kids)
+        return got
+
+    def _scope(self, u: Seq) -> tuple:
+        """The leaves below ``u``: a failing cover lists those outside the sieve."""
+        return bracket(self.branch, u, self.depth)
 
 
 def _child_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:

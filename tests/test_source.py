@@ -270,3 +270,30 @@ def test_every_defaulted_parameter_is_set_by_some_call():
         if (function, parameter) not in passed and (function, index) not in passed
     )
     assert unset == []
+
+
+def _package_subclasses(cls) -> list:
+    """Every subclass of ``cls`` defined in the package, at any remove."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem != "__main__":  # running it would start the CLI
+            importlib.import_module(f"sheafbench.{path.stem}")
+    found, todo = [], [cls]
+    while todo:
+        for sub in todo.pop().__subclasses__():
+            todo.append(sub)
+            if sub.__module__.startswith("sheafbench."):
+                found.append(sub)
+    return found
+
+
+def test_every_topology_gives_one_kernel_and_inherits_the_cover_tests():
+    # one production cover test per space kind: each kind defines ranks, and
+    # cover and covered read it in the base class, so no kind forks them
+    kinds = _package_subclasses(sheafbench.site.Topology)
+    forks = [
+        (sub.__name__, name)
+        for sub in kinds
+        for name, wanted in (("ranks", True), ("cover", False), ("covered", False))
+        if (name in vars(sub)) != wanted
+    ]
+    assert kinds and forks == []
