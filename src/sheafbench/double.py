@@ -134,14 +134,17 @@ def build_double(inner: TruncatedSpace, points: Iterable[Point]) -> DoubleSpace:
         below[x] = through[u].union(map(dopen.__getitem__, inner.basis.below(u)))
     basis = Basis(below)
     if inner.system is not None:
+        # each family is the inner one's D-opens, in inner order, then its
+        # point opens in point order: canonical order, so it is packed
         for u, x in dopen.items():
-            fams = [
+            fams = tuple(
                 tuple(map(dopen.__getitem__, fam))
-                + tuple(set().union(*map(through.__getitem__, fam)))
+                + tuple(sorted(set().union(*map(through.__getitem__, fam)),
+                               key=lambda single: single.point.sort_key))
                 for fam in inner.system.families_at(u)
-            ]
+            )
             if fams:
-                table[x] = tuple(fams)
-    system = CoveringSystem(basis, table)
+                table[x] = fams
+    system = CoveringSystem._packed(basis, table)
     topology = DoubleTopology(basis, inner)
     return DoubleSpace(basis, topology, system, inner=inner, points=pts)

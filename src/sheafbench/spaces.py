@@ -135,23 +135,25 @@ def _child_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:
     """Families "all immediate children"; leaves carry the trivial family.
 
     The trivial family at leaves keeps the covering axiom valid at the
-    truncation boundary without adding derivations.
+    truncation boundary without adding derivations.  Children are listed in
+    canonical order, so the table is packed as it stands.
     """
-    families = {}
+    table = {}
     for u in basis.elements:
         if len(u) < depth:
-            families[u] = [tuple(u + (n,) for n in range(branch))]
+            table[u] = (tuple(u + (n,) for n in range(branch)),)
         else:
-            families[u] = [(u,)]
-    return CoveringSystem(basis, families)
+            table[u] = ((u,),)
+    return CoveringSystem._packed(basis, table)
 
 
 def _bracket_system(basis: Basis, branch: int, depth: int) -> CoveringSystem:
-    families = {
-        u: [bracket(branch, u, q) for q in range(len(u), depth + 1)]
+    """Families "every uniform bracket of ``u``", each in canonical order."""
+    table = {
+        u: tuple(bracket(branch, u, q) for q in range(len(u), depth + 1))
         for u in basis.elements
     }
-    return CoveringSystem(basis, families)
+    return CoveringSystem._packed(basis, table)
 
 
 def cantor_space(depth: int) -> TruncatedSpace:

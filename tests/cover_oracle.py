@@ -6,10 +6,12 @@ read that kernel: a fixpoint of least derivation depths over the fragment
 below the root for a generated topology, a depth-by-depth scan of uniform
 brackets for a bracket topology, and the closed form over the inner space
 for a double.  ``covered_by_cover_tests`` asks one of them per basis
-element, which is how forcing asked before it saturated zones.
+element, which is how forcing asked before it saturated zones, and
+``axioms_by_cover_tests`` is the axiom check as it ran before it read one
+verdict per (sample, element): a cover test per instance.
 """
 from sheafbench.double import DOpen, DoubleTopology, SingletonOpen
-from sheafbench.site import CoverResult, Sieve, Topology
+from sheafbench.site import AxiomReport, CoverResult, Sieve, Topology, sieves_on
 from sheafbench.spaces import BracketTopology, bracket
 
 
@@ -77,3 +79,33 @@ def own_cover_topologies(cls=Topology):
         if "cover" in vars(sub) and sub.__module__.startswith("sheafbench."):
             yield sub
         yield from own_cover_topologies(sub)
+
+
+def axioms_by_cover_tests(space, sieve_cap) -> AxiomReport:
+    """Maximality, stability and local character, each instance asked of
+    ``space.topology.cover`` on its own restricted sieve."""
+    basis, topology = space.basis, space.topology
+    checked = 0
+    max_fail, stab_fail, local_fail = [], [], []
+    samples = {a: sieves_on(basis, a, cap=sieve_cap) for a in basis.elements}
+    for a in basis.elements:
+        checked += 1
+        if not topology.cover(a, Sieve.maximal(basis, a)).covered:
+            max_fail.append(a)
+    for a in basis.elements:
+        covered_here = [s for s in samples[a] if topology.cover(a, s).covered]
+        for s in covered_here:
+            for b in basis.down(a):
+                checked += 1
+                if not topology.cover(b, s.restrict(b)).covered:
+                    stab_fail.append((a, s.generators, b))
+        for r in covered_here:
+            for s in samples[a]:
+                checked += 1
+                if all(
+                    topology.cover(b, s.restrict(b)).covered
+                    for b in basis.down(a) if b in r.members
+                ):
+                    if not topology.cover(a, s).covered:
+                        local_fail.append((a, r.generators, s.generators))
+    return AxiomReport(checked, tuple(max_fail), tuple(stab_fail), tuple(local_fail))

@@ -1,15 +1,18 @@
+import json
+import pathlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from map_oracle import canonical_maps, compose_maps, identity_map, map_from_pairs, pt_functor
 from point_oracle import is_point
-from sheafbench.double import DOpen, SingletonOpen, build_double
+from sheafbench.double import DOpen, DoubleSpace, SingletonOpen, build_double
 from sheafbench.forcing import standard_model
 from sheafbench.jsonio import space_from_json
 from sheafbench.maps import check_continuous_map
 from sheafbench.points import Point, eventually_constant_points, point_members
 from sheafbench.site import CoveringSystem, Sieve, check_topology_axioms
-from sheafbench.spaces import baire_space, cantor_space
+from sheafbench.spaces import baire_space, bracket, cantor_space
 
 
 def double_leq(x, y) -> bool:
@@ -78,6 +81,7 @@ def test_double_down_sets_match_the_relation(branch, depth, max_prefix, deep):
     assert len(opens) == len(inner.basis) + len(points)
     for y in opens:
         assert dbl.basis.below(y) == {x for x in opens if double_leq(x, y)}
+    assert dbl.system._table == _validated_system(dbl)._table
 
 
 def test_building_a_double_asks_no_point_for_its_prefixes(monkeypatch):
@@ -105,6 +109,71 @@ def test_building_a_double_asks_no_point_for_its_prefixes(monkeypatch):
     space_from_json({"kind": "cantor", "depth": 6})
     space_from_json({"kind": "baire", "branch": 3, "depth": 3})
     assert calls == {"passes_through": 0, "validate": 0}
+
+
+def _validated_system(space) -> CoveringSystem:
+    """The covering system of a tree space or a double, from the definition
+    of its families through the validating constructor, which checks each
+    member and puts it in canonical order."""
+    if isinstance(space, DoubleSpace):
+        inner = _validated_system(space.inner)
+        families = {SingletonOpen(q): [{SingletonOpen(q)}] for q in space.points}
+        for u in space.inner.basis.elements:
+            families[DOpen(u)] = [
+                {DOpen(v) for v in fam}
+                | {SingletonOpen(q) for q in space.points if any(q.passes_through(v) for v in fam)}
+                for fam in inner.families_at(u)
+            ]
+        return CoveringSystem(space.basis, families)
+    depth = space.depth
+    if space.kind == "cantor":
+        families = {u: [set(bracket(2, u, q)) for q in range(len(u), depth + 1)]
+                    for u in space.basis.elements}
+    else:
+        families = {u: [{u + (n,) for n in range(space.branch)} if len(u) < depth else {u}]
+                    for u in space.basis.elements}
+    return CoveringSystem(space.basis, families)
+
+
+# every tree space the suites and the depth sweep build (Cantor and
+# Baire(2) to depth 11), and the wider ones up to the sweep's size
+_TREES = [("cantor", 2, d) for d in range(12)] + [
+    ("baire", b, d) for b in range(1, 6) for d in range(12)
+    if sum(b ** k for k in range(d + 1)) <= 2 ** 12 - 1
+]
+
+
+def _spaces_of(doc):
+    """Every space description nested in a corpus document."""
+    if isinstance(doc, dict):
+        if doc.get("kind") in ("cantor", "baire", "double"):
+            yield doc
+        for value in doc.values():
+            yield from _spaces_of(value)
+    elif isinstance(doc, list):
+        for value in doc:
+            yield from _spaces_of(value)
+
+
+def test_the_extract_corpus_builds_no_other_tree_space():
+    corpus = pathlib.Path(__file__).parents[1] / "perfbench" / "corpus" / "extract.json"
+    found = {(d["kind"], d.get("branch", 2), d["depth"])
+             for row in json.loads(corpus.read_text(encoding="utf-8"))
+             for d in _spaces_of(row["doc"])}
+    assert found and found <= set(_TREES)
+
+
+@pytest.mark.parametrize("kind, branch, depth", _TREES)
+def test_packed_systems_equal_the_validated_ones(kind, branch, depth):
+    # the tree spaces and their doubles skip the constructor's checks; the
+    # rules double a space over the points of prefix length 1, the site
+    # corpus and the tests up to 3
+    space = cantor_space(depth) if kind == "cantor" else baire_space(branch, depth)
+    assert space.system._table == _validated_system(space)._table
+    caps = (0, 1, 2, 3) if len(space.basis) <= 400 else (1,)
+    for cap in caps:
+        dbl = build_double(space, eventually_constant_points(branch, cap))
+        assert dbl.system._table == _validated_system(dbl)._table, cap
 
 
 def test_rejects_streams_outside_the_branching():

@@ -5,7 +5,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from sheafbench.randomgen import random_covering_system, random_preorder
 from sheafbench.site import (
@@ -22,13 +22,18 @@ from sheafbench.site import (
     cover_induction,
     element_key,
     FormalSpace,
+    GeneratedTopology,
+    Topology,
     inductive_close,
     recheck_cover_induction,
     set_compactness_witness,
     sieves_on,
 )
+from sheafbench.double import build_double
+from sheafbench.points import eventually_constant_points
 from sheafbench.spaces import all_sequences, baire_space, cantor_space, seq_leq
 
+from cover_oracle import axioms_by_cover_tests
 from order_oracle import basis_from_relation, generate_topology
 
 
@@ -395,6 +400,95 @@ def test_axioms_hold_on_a_tree_basis_read_off_the_relation():
         reports.append(check_topology_axioms(FormalSpace(basis, generate_topology(system), system)))
     assert reports[0].ok
     assert reports[0] == reports[1]
+
+
+def _unrepaired_system(rng, basis) -> CoveringSystem:
+    """The random families ``random_covering_system`` starts from, taken as
+    drawn: no repair, so the covering axiom may fail."""
+    families = {}
+    for a in basis.elements:
+        down = list(basis.down(a))
+        families[a] = [rng.sample(down, rng.randint(1, min(3, len(down))))
+                       for _ in range(rng.randint(0, 2))]
+    return CoveringSystem(basis, families)
+
+
+class _OneStepTopology(Topology):
+    """A broken kernel: a family derives its element only from zone members,
+    so covers do not compose and local character fails."""
+
+    def __init__(self, system):
+        super().__init__(system.basis)
+        self.system = system
+
+    def ranks(self, zone):
+        got = dict.fromkeys(zone, 0)
+        for v in self.basis.elements:
+            if v not in got and any(zone.issuperset(alpha) for alpha in self.system.families_at(v)):
+                got[v] = 1
+        return got
+
+
+class _WholeZoneTopology(Topology):
+    """A broken kernel whose verdict at ``b`` reads the zone outside
+    ``below(b)``: a non-empty zone covers every element."""
+
+    def ranks(self, zone):
+        return dict.fromkeys(self.basis.elements, 0) if zone else {}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(2, 7), st.booleans())
+def test_axiom_check_matches_a_cover_test_per_instance(seed, size, repaired):
+    # unrepaired systems reach failing stability instances; a generated
+    # topology always has local character, since derivations compose
+    rng = random.Random(seed)
+    basis = random_preorder(rng, size)
+    system = random_covering_system(rng, basis) if repaired else _unrepaired_system(rng, basis)
+    space = FormalSpace(basis, GeneratedTopology(system), system)
+    assert check_topology_axioms(space, sieve_cap=24) == axioms_by_cover_tests(space, 24)
+
+
+def test_unrepaired_systems_fail_stability():
+    # the oracle comparison above reaches failing reports
+    rng = random.Random(11)
+    failures = 0
+    for _ in range(10):
+        basis = random_preorder(rng, rng.randint(3, 7))
+        system = _unrepaired_system(rng, basis)
+        report = check_topology_axioms(FormalSpace(basis, GeneratedTopology(system), system), 24)
+        failures += len(report.stability_failures)
+    assert failures
+
+
+@pytest.mark.parametrize("space", [
+    cantor_space(3),
+    baire_space(2, 3),
+    baire_space(3, 2),
+    build_double(cantor_space(3), eventually_constant_points(2, 1)),
+], ids=["cantor3", "baire2-3", "baire3-2", "double-cantor3"])
+def test_axiom_check_matches_a_cover_test_per_instance_on_tree_spaces(space):
+    assert check_topology_axioms(space, sieve_cap=24) == axioms_by_cover_tests(space, 24)
+
+
+def test_axiom_check_finds_a_kernel_whose_covers_do_not_compose():
+    # every sieve on the root of Baire(2, 2): the leaves cover each child
+    # in one step, and the children cover the root, but not the leaves
+    space = baire_space(2, 2)
+    broken = FormalSpace(space.basis, _OneStepTopology(space.system), space.system)
+    report = check_topology_axioms(broken, sieve_cap=128)
+    assert report.local_character_failures
+    assert report == axioms_by_cover_tests(broken, 128)
+
+
+def test_axiom_check_asks_each_restricted_zone():
+    # reading the restricted verdicts off the sample's own ranks would pass
+    # this kernel: stability is what the restricted zones test
+    space = cantor_space(2)
+    broken = FormalSpace(space.basis, _WholeZoneTopology(space.basis), space.system)
+    report = check_topology_axioms(broken, sieve_cap=24)
+    assert report.stability_failures
+    assert report == axioms_by_cover_tests(broken, 24)
 
 
 def test_sieve_sampler_is_deterministic():

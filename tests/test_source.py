@@ -167,6 +167,18 @@ def test_all_lists_exactly_the_names_the_package_imports():
     assert len(set(sheafbench.__all__)) == len(sheafbench.__all__)
 
 
+def _readers(attribute: str, paths) -> list:
+    """``(file name, top-level definition)`` of every read of ``attribute``."""
+    return sorted(
+        (path.name, owner)
+        for path in paths
+        for stmt in _tree(path).body
+        for owner in [getattr(stmt, "name", None)]
+        for node in ast.walk(stmt)
+        if isinstance(node, ast.Attribute) and node.attr == attribute
+    )
+
+
 # (module, top-level definition) allowed to ask a point for one prefix, and why
 PASSES_THROUGH_CALLERS = {
     ("rules.py", "_recheck_fan"): "rechecks each recorded discharge point against its "
@@ -178,15 +190,8 @@ def test_point_incidence_is_read_from_the_index():
     # "which points pass through this open" has one answer, points.incidence,
     # read off each point's prefix chain; scanning with passes_through elsewhere
     # would compute it a second way
-    calls = sorted(
-        (path.name, owner)
-        for path in sorted(PACKAGE.glob("*.py")) if path.name != "points.py"
-        for stmt in _tree(path).body
-        for owner in [getattr(stmt, "name", None)]
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.Attribute) and node.attr == "passes_through"
-    )
-    assert calls == sorted(PASSES_THROUGH_CALLERS)
+    paths = [path for path in sorted(PACKAGE.glob("*.py")) if path.name != "points.py"]
+    assert _readers("passes_through", paths) == sorted(PASSES_THROUGH_CALLERS)
 
 
 # (module, top-level definition) allowed to check the covering axiom, and why
@@ -199,15 +204,24 @@ VALIDATE_CALLERS = {
 def test_only_outside_data_is_validated():
     # the tree spaces' families satisfy the covering axiom by construction,
     # a lemma the tests prove once; re-checking it at every build is waste
-    calls = sorted(
-        (path.name, owner)
-        for path in sorted(PACKAGE.glob("*.py"))
-        for stmt in _tree(path).body
-        for owner in [getattr(stmt, "name", None)]
-        for node in ast.walk(stmt)
-        if isinstance(node, ast.Attribute) and node.attr == "validate"
-    )
-    assert calls == sorted(VALIDATE_CALLERS)
+    assert _readers("validate", sorted(PACKAGE.glob("*.py"))) == sorted(VALIDATE_CALLERS)
+
+
+# (module, top-level definition) allowed to build a covering system whose
+# families it does not check or sort, and why that is safe
+PACKED_CALLERS = {
+    ("spaces.py", "_child_system"): "the children of each sequence, in canonical order",
+    ("spaces.py", "_bracket_system"): "the uniform brackets of each sequence, in canonical order",
+    ("double.py", "build_double"): "the inner families as D-opens, then the point opens "
+                                   "through them, in canonical order",
+}
+
+
+def test_only_derived_systems_skip_the_constructor_checks():
+    # data from outside the package goes through the validating constructor;
+    # the tests prove the packed tables equal what it would build
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    assert _readers("_packed", paths) == sorted(PACKED_CALLERS)
 
 
 def _defaulted_parameters(path: pathlib.Path) -> list:
