@@ -29,10 +29,10 @@ a later ask about unseen stages builds unions.  A conjunction
 asks its right side only where its left holds; a disjunction's zone asks
 its right side only where its left fails, an implication's only where its
 left holds; a quantifier tries each universe value only at the elements
-still without a witness (or counterexample).  Atoms read their arguments
-once per call, and order, bar and pure-value atoms answer once for the
-whole set; ``Prefix(pi, u)`` holds exactly below D(u) (below u on a plain
-tree), so it reads one down-set.
+still without a witness (or counterexample).  Every other clause, atoms
+included, answers with one set per (subformula, env): every basis element
+forcing it, built in one pass over the basis (:func:`_atom_zone` for an
+atom), with which a demanded set is intersected.
 
 The cover clauses (falsum, disjunction, existence and ``App``) each take
 one saturation per zone.  Forcing is monotone, so a disjunction's or
@@ -57,6 +57,7 @@ zone already, so the premise is forced once and the read costs no step.
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -216,8 +217,9 @@ class _Run:
         # (node, env slice) -> (stages evaluated so far, stages forced)
         self.memo: dict = {}
         self.zones: dict = {}
-        # (node, env slice) -> elements covered by the node's zone
-        self.covers: dict = {}
+        # (node, env slice) -> every element forcing the node
+        self.forced: dict = {}
+        self.everywhere = frozenset(model.space.basis.elements)
 
     def tick(self, count: int):
         self.steps += count
@@ -255,8 +257,11 @@ def force(model: ForcingModel, stage, formula, env: Mapping | None = None,
     triples the verdict demands; past it the run raises
     :class:`FuelExhausted`.  Without fuel, a formula the model cannot
     interpret raises :class:`ModelError` as soon as a demanded triple needs
-    the missing piece.  With a finite fuel and such a formula, which of the
-    two comes first depends on the order in which stage sets are walked.
+    the missing piece.  An atom's zone covers the whole basis, so a table
+    value with no image at some point of the index raises on the atom's
+    first demand, also at a stage that point does not pass through.  With
+    a finite fuel and such a formula, which of the two comes first depends
+    on the order in which stage sets are walked.
     """
     model.space.basis.require(stage)
     run = _Run(model, fuel)
@@ -276,75 +281,51 @@ def _holds(run: _Run, stages: frozenset, node, env: dict) -> frozenset:
             return stages
         # the first ask keeps the demanded set itself: no copy
         run.tick(len(stages))
-        holds = frozenset(_evaluate(run, stages, node, env))
+        holds = _evaluate(run, stages, node, env, key)
         run.memo[key] = (stages, holds)
         return holds
     seen, holds = entry
     new = stages - seen
     if new:
         run.tick(len(new))
-        holds = holds.union(_evaluate(run, new, node, env))
+        holds = holds.union(_evaluate(run, new, node, env, key))
         run.memo[key] = (seen | new, holds)
     return stages & holds
 
 
-def _evaluate(run: _Run, stages: frozenset, node, env: dict):
-    model = run.model
-    basis = model.space.basis
-
-    if isinstance(node, F.Falsum):
-        return stages & _covered(run, node, env)
-    if isinstance(node, F.Atom):
-        impl = ATOMS.get(node.name)
-        if impl is None and node.name != "App":
-            raise ModelError(f"unknown atom {node.name!r}")
-        args = tuple(eval_term(model, env, t) for t in node.args)
-        if node.name == "App":
-            return stages & _covered(run, node, env, args)
-        if _stage_free(node.name, args):
-            return stages if impl(model, next(iter(stages)), args) else ()
-        if node.name == "Prefix":
-            top = _generic_prefix_open(model, *_prefix_args(args))
-            if top is not None:
-                return stages & basis.below(top)
-        return [s for s in stages if impl(model, s, args)]
+def _evaluate(run: _Run, stages: frozenset, node, env: dict, key: tuple) -> frozenset:
     if isinstance(node, F.And):
         return _holds(run, _holds(run, stages, node.left, env), node.right, env)
+    forced = run.forced.get(key)
+    if forced is None:
+        forced = run.forced[key] = _forced(run, node, env)
+    return stages & forced
+
+
+def _forced(run: _Run, node, env: dict) -> frozenset:
+    """Every basis element forcing a node other than a conjunction: where
+    the zone of falsum, a disjunction or an existential covers, where the
+    down-set avoids an implication's or a universal's failure zone, and an
+    atom's own zone."""
+    topology = run.model.space.topology
+    if isinstance(node, F.Falsum):
+        return topology.covered(frozenset())
+    if isinstance(node, F.Atom):
+        return _atom_zone(run, node, env)
     if isinstance(node, (F.Or, F.Exists)):
-        return stages & _covered(run, node, env)
+        return topology.covered(_zone(run, node, env))
     if isinstance(node, (F.Implies, F.Forall)):
-        zone = _zone(run, node, env)
-        return [s for s in stages if basis.below(s).isdisjoint(zone)]
+        return _avoiding(run, _zone(run, node, env))
     raise ModelError(f"not a formula: {node!r}")
 
 
-def _covered(run: _Run, node, env: dict, args: tuple = ()) -> frozenset:
-    """Elements forcing a cover clause: those its zone covers.
-
-    The zone is downward closed (empty for falsum, the App atom's
-    :func:`_app_zone`, the member set :func:`_zone` builds otherwise), so
-    one :meth:`Topology.covered` pass per (node, env) answers every stage.
-    """
-    key = (node, run.env_key(node, env))
-    got = run.covers.get(key)
-    if got is None:
-        if isinstance(node, F.Falsum):
-            zone = frozenset()
-        elif isinstance(node, F.Atom):
-            zone = _app_zone(run.model, args)
-        else:
-            zone = _zone(run, node, env)
-        got = run.covers[key] = run.model.space.topology.covered(zone)
-    return got
-
-
-def _stage_free(name: str, args: tuple) -> bool:
-    """Whether an atom's verdict is the same at every stage: order and bar
-    tests, and equality or prefix tests on pure values only."""
-    if name in ("Leq", "InBar"):
-        return True
-    return name in ("Eq", "Prefix") and not any(
-        isinstance(value, SectionValue) and value.kind != "pure" for _, value in args)
+def _avoiding(run: _Run, bad) -> frozenset:
+    """Elements whose down-set avoids ``bad``: the complement of its up-closure."""
+    if not bad:
+        return run.everywhere
+    bad = frozenset(bad)
+    below = run.model.space.basis.below
+    return frozenset(v for v in run.model.space.basis.elements if below(v).isdisjoint(bad))
 
 
 def _zone(run: _Run, node, env: dict):
@@ -354,12 +335,11 @@ def _zone(run: _Run, node, env: dict):
     an implication or universal) is defined pointwise at each element, so it
     does not depend on the stage being forced; it is built once over the
     whole basis.  A disjunction's or existential's zone is downward closed,
-    forcing being monotone, so one saturation of it (:func:`_covered`)
-    answers every stage; an implication's or universal's is read as an
-    intersection with each stage's downset.  A quantifier's zone maps each
-    element to its first witness (Exists) or counterexample (Forall) in
-    universe order: each value is tried only at the elements still without
-    one.
+    forcing being monotone, so one saturation of it answers every stage; an
+    implication or universal holds where the down-set avoids its zone
+    (:func:`_forced`).  A quantifier's zone maps each element to its first
+    witness (Exists) or counterexample (Forall) in universe order: each
+    value is tried only at the elements still without one.
     """
     model = run.model
     key = (node, run.env_key(node, env))
@@ -367,7 +347,7 @@ def _zone(run: _Run, node, env: dict):
     if got is not None:
         return got
 
-    everywhere = frozenset(model.space.basis.elements)
+    everywhere = run.everywhere
     if isinstance(node, F.Or):
         left = _holds(run, everywhere, node.left, env)
         got = left | _holds(run, everywhere - left, node.right, env)
@@ -421,6 +401,60 @@ def exists_witness_sieve(model: ForcingModel, stage, premise, node: F.Exists,
 
 # ------------------------------------------------------------------ atoms
 
+def _atom_zone(run: _Run, node: F.Atom, env: dict) -> frozenset:
+    """Every basis element forcing an atom, from one pass over the basis.
+
+    Order and bar atoms, and equality off the stream sorts, hold everywhere
+    or nowhere.  ``Eq`` on streams holds where the down-set avoids the
+    elements at which the two member sets differ, ``Prefix`` where the
+    prefix is a member (below D(u) for the generic), ``Rel`` at the elements
+    all of whose points read true (one verdict per point of the index), and
+    ``App`` where the elements showing its entry cover.  A pure value's
+    members do not depend on the stage, so one test answers for the whole
+    basis.
+    """
+    model, name = run.model, node.name
+    if name not in ("Eq", "Leq", "Prefix", "InBar", "Rel", "App"):
+        raise ModelError(f"unknown atom {name!r}")
+    args = tuple(eval_term(model, env, t) for t in node.args)
+    if name == "Eq":
+        sort, v1, v2 = _eq_args(args)
+        if sort in STREAM_SORTS:
+            return _avoiding(run, _where(run, (v1, v2), operator.ne))
+        holds = v1 == v2
+    elif name == "Prefix":
+        value, u = _prefix_args(args)
+        top = _generic_prefix_open(model, value, u)
+        if top is not None:
+            return model.space.basis.below(top)
+        return _where(run, (value,), lambda members: u in members)
+    elif name == "App":
+        value, n, m = _app_args(args)
+        # member sets only grow going down, so this zone is downward closed
+        return model.space.topology.covered(_where(
+            run, (value,), lambda members: any(len(w) > n and w[n] == m for w in members)))
+    elif name == "Rel":
+        v1, v2 = _rel_args(model, args)
+        points = dict.fromkeys(q for through in model.through.values() for q in through)
+        wrong = {q for q in points if not _rel_at(model, v1, v2, q)}
+        return frozenset(v for v in model.space.basis.elements
+                         if wrong.isdisjoint(model.points_through(v)))
+    else:
+        holds = _leq(args) if name == "Leq" else _in_bar(model, args)
+    return run.everywhere if holds else frozenset()
+
+
+def _where(run: _Run, values: tuple, test) -> frozenset:
+    """Elements at which ``test`` holds of the values' member sets; one test
+    answers when every value is pure, its members the same at every stage."""
+    model = run.model
+    if all(value.kind == "pure" for value in values):
+        members = [section_members(model, value, None) for value in values]
+        return run.everywhere if test(*members) else frozenset()
+    return frozenset(v for v in model.space.basis.elements
+                     if test(*[section_members(model, value, v) for value in values]))
+
+
 def _stream_arg(arg, what: str) -> SectionValue:
     sort, value = arg
     if sort not in STREAM_SORTS or not isinstance(value, SectionValue):
@@ -428,35 +462,33 @@ def _stream_arg(arg, what: str) -> SectionValue:
     return value
 
 
-def eq_atom(model, stage, args) -> bool:
+def _eq_args(args) -> tuple:
     if len(args) != 2:
         raise ModelError("Eq takes two arguments")
     (s1, v1), (s2, v2) = args
     if s1 != s2:
         raise ModelError(f"Eq compares values of one sort, got {s1} and {s2}")
-    if s1 in STREAM_SORTS:
-        return all(
-            section_members(model, v1, v) == section_members(model, v2, v)
-            for v in model.space.basis.down(stage)
-        )
-    return v1 == v2
+    return s1, v1, v2
 
 
-def leq_atom(model, stage, args) -> bool:
+def _leq(args) -> bool:
     if len(args) != 2 or args[0][0] != "Nat" or args[1][0] != "Nat":
         raise ModelError("Leq takes two Nat arguments")
     return args[0][1] <= args[1][1]
+
+
+def _in_bar(model, args) -> bool:
+    if len(args) != 1 or args[0][0] != "FinSeq":
+        raise ModelError("InBar takes one FinSeq argument")
+    if model.bar is None:
+        raise ModelError("the model has no bar")
+    return model.bar.holds(tuple(args[0][1]))
 
 
 def _prefix_args(args) -> tuple:
     if len(args) != 2 or args[1][0] != "FinSeq":
         raise ModelError("Prefix takes a stream and a finite sequence")
     return _stream_arg(args[0], "Prefix"), tuple(args[1][1])
-
-
-def prefix_atom(model, stage, args) -> bool:
-    value, u = _prefix_args(args)
-    return u in section_members(model, value, stage)
 
 
 def _generic_prefix_open(model, value: SectionValue, u: tuple):
@@ -467,9 +499,11 @@ def _generic_prefix_open(model, value: SectionValue, u: tuple):
     ``u`` on a plain tree).  None unless ``value`` is the generic of the
     tree and ``u`` an open of it.
     """
+    if value.kind != "generic":
+        return None
     space = model.space
     tree = space.inner if isinstance(space, DoubleSpace) else space
-    if value.kind != "generic" or value.branch != tree.branch or u not in tree.basis:
+    if value.branch != tree.branch or u not in tree.basis:
         return None
     return DOpen(u) if tree is not space else u
 
@@ -480,59 +514,27 @@ def _app_args(args) -> tuple:
     return _stream_arg(args[0], "App"), args[1][1], args[2][1]
 
 
-def _app_zone(model, args) -> frozenset:
-    """Elements at which the stream is seen to have entry m at position n.
-
-    Member sets only grow going down, so the set is downward closed; App
-    holds where it covers.
-    """
-    value, n, m = _app_args(args)
-    return frozenset(
-        v for v in model.space.basis.elements
-        if any(len(w) > n and w[n] == m for w in section_members(model, value, v))
-    )
-
-
-def inbar_atom(model, stage, args) -> bool:
-    if len(args) != 1 or args[0][0] != "FinSeq":
-        raise ModelError("InBar takes one FinSeq argument")
-    if model.bar is None:
-        raise ModelError("the model has no bar")
-    return model.bar.holds(tuple(args[0][1]))
-
-
-def rel_atom(model, stage, args) -> bool:
-    """f(a) = b, read along every enumerated point through the stage.
-
-    Streams are compared by their visible members, so two that agree to the
-    truncation depth count as equal.
-    """
+def _rel_args(model, args) -> tuple:
     if len(args) != 2:
         raise ModelError("Rel takes two arguments")
     v1 = _stream_arg(args[0], "Rel")
     v2 = _stream_arg(args[1], "Rel")
     if model.rel_table is None:
         raise ModelError("the model has no function table for Rel")
-    branch = v2.branch
-    for q in model.points_through(stage):
-        image = model.rel_table.get(observe(model, v1, q))
-        if image is None:
-            raise ModelError(f"the function table has no value at {q}")
-        expected = point_observation(model, image, branch)
-        if point_observation(model, observe(model, v2, q), branch) != expected:
-            return False
-    return True
+    return v1, v2
 
 
-# atom name -> callable(model, stage, arg values) -> bool; App, a cover
-# clause, is forced from its zone instead
-ATOMS = {
-    "Eq": eq_atom,
-    "Leq": leq_atom,
-    "Prefix": prefix_atom,
-    "InBar": inbar_atom,
-    "Rel": rel_atom,
-}
+def _rel_at(model, v1: SectionValue, v2: SectionValue, point: Point) -> bool:
+    """f(a) = b along one point.
+
+    Streams are compared by their visible members, so two that agree to the
+    truncation depth count as equal.
+    """
+    image = model.rel_table.get(observe(model, v1, point))
+    if image is None:
+        raise ModelError(f"the function table has no value at {point}")
+    return (point_observation(model, image, v2.branch)
+            == point_observation(model, observe(model, v2, point), v2.branch))
 
 
 GENERIC_NAME = "pi"
@@ -627,32 +629,23 @@ def classical_truth(model: ForcingModel, point: Point, formula,
         args = tuple(eval_term(model, env, t) for t in node.args)
         name = node.name
         if name == "Eq":
-            (s1, v1), (s2, v2) = args
-            if s1 != s2:
-                raise ModelError(f"Eq compares values of one sort, got {s1} and {s2}")
-            if s1 in STREAM_SORTS:
+            sort, v1, v2 = _eq_args(args)
+            if sort in STREAM_SORTS:
                 return obs_members(v1) == obs_members(v2)
             return v1 == v2
         if name == "Prefix":
-            value = _stream_arg(args[0], "Prefix")
-            return tuple(args[1][1]) in obs_members(value)
+            value, u = _prefix_args(args)
+            return u in obs_members(value)
         if name == "App":
-            value = _stream_arg(args[0], "App")
-            n, m = args[1][1], args[2][1]
+            value, n, m = _app_args(args)
             return any(len(w) > n and w[n] == m for w in obs_members(value))
         if name == "Rel":
-            v1 = _stream_arg(args[0], "Rel")
-            v2 = _stream_arg(args[1], "Rel")
-            if model.rel_table is None:
-                raise ModelError("the model has no function table for Rel")
-            image = model.rel_table.get(observe(model, v1, point))
-            if image is None:
-                raise ModelError(f"the function table has no value at {point}")
-            return point_observation(model, image, v2.branch) == obs_members(v2)
-        impl = ATOMS.get(name)
-        if impl is None:
-            raise ModelError(f"unknown atom {name!r}")
-        return bool(impl(model, None, args))
+            return _rel_at(model, *_rel_args(model, args), point)
+        if name == "Leq":
+            return _leq(args)
+        if name == "InBar":
+            return _in_bar(model, args)
+        raise ModelError(f"unknown atom {name!r}")
 
     def ev(node) -> bool:
         if isinstance(node, F.Falsum):

@@ -4,11 +4,70 @@ Each call answers one (subformula, stage, env) triple, memoized by that
 triple, and ticks once per triple it evaluates; quantifier and connective
 zones are built over the whole basis.  ``steps`` therefore counts the
 distinct triples demanded, which the package's evaluator must reproduce.
+Every atom is decided at one stage at a time by its definition
+(:data:`STAGE_ATOMS`), against which the package's atom zones are tested.
 """
 from sheafbench import formulas as F
 from sheafbench.forcing import (
-    ATOMS, FuelExhausted, ModelError, _app_args, eval_term, section_members)
+    STREAM_SORTS, FuelExhausted, ModelError, _app_args, _prefix_args, _stream_arg, eval_term,
+    observe, point_observation, section_members)
 from sheafbench.site import Sieve
+
+
+def eq_atom(model, stage, args) -> bool:
+    if len(args) != 2:
+        raise ModelError("Eq takes two arguments")
+    (s1, v1), (s2, v2) = args
+    if s1 != s2:
+        raise ModelError(f"Eq compares values of one sort, got {s1} and {s2}")
+    if s1 in STREAM_SORTS:
+        return all(
+            section_members(model, v1, v) == section_members(model, v2, v)
+            for v in model.space.basis.down(stage)
+        )
+    return v1 == v2
+
+
+def leq_atom(model, stage, args) -> bool:
+    if len(args) != 2 or args[0][0] != "Nat" or args[1][0] != "Nat":
+        raise ModelError("Leq takes two Nat arguments")
+    return args[0][1] <= args[1][1]
+
+
+def prefix_atom(model, stage, args) -> bool:
+    value, u = _prefix_args(args)
+    return u in section_members(model, value, stage)
+
+
+def inbar_atom(model, stage, args) -> bool:
+    if len(args) != 1 or args[0][0] != "FinSeq":
+        raise ModelError("InBar takes one FinSeq argument")
+    if model.bar is None:
+        raise ModelError("the model has no bar")
+    return model.bar.holds(tuple(args[0][1]))
+
+
+def rel_atom(model, stage, args) -> bool:
+    """f(a) = b, read along every enumerated point through the stage.
+
+    Streams are compared by their visible members, so two that agree to the
+    truncation depth count as equal.
+    """
+    if len(args) != 2:
+        raise ModelError("Rel takes two arguments")
+    v1 = _stream_arg(args[0], "Rel")
+    v2 = _stream_arg(args[1], "Rel")
+    if model.rel_table is None:
+        raise ModelError("the model has no function table for Rel")
+    branch = v2.branch
+    for q in model.points_through(stage):
+        image = model.rel_table.get(observe(model, v1, q))
+        if image is None:
+            raise ModelError(f"the function table has no value at {q}")
+        expected = point_observation(model, image, branch)
+        if point_observation(model, observe(model, v2, q), branch) != expected:
+            return False
+    return True
 
 
 def app_atom(model, stage, args) -> bool:
@@ -25,7 +84,14 @@ def app_atom(model, stage, args) -> bool:
 
 
 # the per-stage definition of every atom
-STAGE_ATOMS = {**ATOMS, "App": app_atom}
+STAGE_ATOMS = {
+    "Eq": eq_atom,
+    "Leq": leq_atom,
+    "Prefix": prefix_atom,
+    "InBar": inbar_atom,
+    "Rel": rel_atom,
+    "App": app_atom,
+}
 
 
 class _Run:

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 import forcing_oracle
 from cover_oracle import own_cover_topologies
+from forcing_oracle import eq_atom, prefix_atom, rel_atom
 from order_oracle import generate_topology
 from point_oracle import double_point_family, family_through, scan_observation, scan_through
 from sheafbench import rules
@@ -19,26 +20,24 @@ from sheafbench.forcing import (
     NotCovering,
     NotDisjoint,
     _Run,
+    _atom_zone,
     _force,
     _generic_prefix_open,
     cc_refine,
     choice_amalgamation,
     classical_truth,
-    eq_atom,
     eval_term,
     exists_witness_sieve,
     force,
     generic_value,
     point_observation,
-    prefix_atom,
     pure_value,
-    rel_atom,
     section_members,
     standard_model,
     table_value,
     with_universe_value,
 )
-from sheafbench.formulas import And, Exists, Implies, Lit, Name, Or, Sum, parse_formula
+from sheafbench.formulas import And, Atom, Exists, Implies, Lit, Name, Or, Sum, parse_formula
 from sheafbench.points import Point, eventually_constant_points
 from sheafbench.randomgen import random_formula
 from sheafbench.sheaves import NatSection, nat_sheaf, space_atoms
@@ -118,11 +117,15 @@ def test_generic_prefix_atom_reads_decided_prefixes():
     model = standard_model(dbl)
     generic = ("Seq2", generic_value(2))
     arg = lambda u: (generic, ("FinSeq", u))
-    assert prefix_atom(model, dbl.d((0, 1)), arg((0, 1)))
-    assert prefix_atom(model, dbl.d((0, 1)), arg((0,)))
-    assert not prefix_atom(model, dbl.d((0,)), arg((0, 1)))
+    # the per-stage definition, and the package's zone through force
+    forced = lambda stage, u: force(model, stage, parse_formula("Prefix(pi, u)"),
+                                    env={"u": ("FinSeq", u)})
     q = Point((0, 1), 1)
-    assert prefix_atom(model, dbl.singleton(q), arg((0, 1)))
+    for holds in (lambda stage, u: prefix_atom(model, stage, arg(u)), forced):
+        assert holds(dbl.d((0, 1)), (0, 1))
+        assert holds(dbl.d((0, 1)), (0,))
+        assert not holds(dbl.d((0,)), (0, 1))
+        assert holds(dbl.singleton(q), (0, 1))
 
 
 def test_generic_app_is_local_across_branches():
@@ -140,10 +143,12 @@ def test_generic_equality_holds_exactly_on_decided_leaves():
     model = standard_model(dbl)
     c0 = ("Seq2", pure_value(Point((), 0), 2))
     generic = ("Seq2", generic_value(2))
-    assert eq_atom(model, dbl.d((0, 0)), (generic, c0))
-    assert not eq_atom(model, dbl.d((0,)), (generic, c0))
-    assert not eq_atom(model, dbl.d((1, 1)), (generic, c0))
-    assert eq_atom(model, dbl.singleton(Point((), 0)), (generic, c0))
+    forced = lambda stage: force(model, stage, parse_formula("Eq(pi, c)"), env={"c": c0})
+    for holds in (lambda stage: eq_atom(model, stage, (generic, c0)), forced):
+        assert holds(dbl.d((0, 0)))
+        assert not holds(dbl.d((0,)))
+        assert not holds(dbl.d((1, 1)))
+        assert holds(dbl.singleton(Point((), 0)))
 
 
 def test_rel_atom_with_table_candidate_and_uniqueness():
@@ -153,11 +158,14 @@ def test_rel_atom_with_table_candidate_and_uniqueness():
     model = standard_model(dbl, rel_table=table)
     candidate = table_value(table, 2, label="shift")
 
-    rel = lambda value: rel_atom(
+    per_stage = lambda value: rel_atom(
         model, dbl.d(()), (("Seq2", generic_value(2)), ("Seq2", value))
     )
-    assert rel(candidate)
-    assert not rel(pure_value(Point((), 0), 2))
+    forced = lambda value: force(model, dbl.d(()), parse_formula("Rel(pi, b)"),
+                                 env={"b": ("Seq2", value)})
+    for rel in (per_stage, forced):
+        assert rel(candidate)
+        assert not rel(pure_value(Point((), 0), 2))
 
     model = with_universe_value(model, "Seq2", candidate)
     unique = parse_formula(
@@ -173,6 +181,7 @@ def test_identity_table_is_observationally_generic():
     ident = table_value(model.rel_table, 2, label="id")
     args = (("Seq2", ident), ("Seq2", generic_value(2)))
     assert eq_atom(model, dbl.d(()), args)
+    assert force(model, dbl.d(()), parse_formula("Eq(t, pi)"), env={"t": args[0]})
 
 
 def test_monotone_and_local_on_random_formulas():
@@ -408,6 +417,86 @@ def test_the_generic_has_prefix_u_exactly_below_the_open_of_u():
                       if u in section_members(model, generic, x)}
             assert stages == space.basis.below(top), u
             assert _generic_prefix_open(model, generic, u) == top
+
+
+def _atom_models() -> tuple:
+    """The differential models, then the continuity premise's models: the
+    shift table over Baire(2, 2) and the identity over Cantor(3), each
+    defined on the points up to one past the depth and joining the stream
+    universe as a table value."""
+    shift = {q: _shift(q) for q in eventually_constant_points(2, 3)}
+    identity = {q: q for q in eventually_constant_points(2, 4)}
+    return tuple(model for model, _ in _DIFFERENTIAL) + (
+        rules._table_model(baire_space(2, 2), shift)[1],
+        rules._table_model(cantor_space(3), identity)[1])
+
+
+_ATOM_MODELS = _atom_models()
+
+
+def _stream_values(model) -> tuple:
+    """The stream sort and its values: the universe (pure values, the
+    generic, and the graph of a continuity table), plus two table values
+    over the model's own point index.  The shift, and the map keeping a
+    stream's head and then repeating 1: its images through sibling opens
+    differ at entry 0 and agree after it, so ``App(t, 1, 1)`` holds at an
+    open whose children all show it only by covering."""
+    sort, generic = model.constants["pi"]
+    points = {q for through in model.through.values() for q in through}
+    tables = {"shift": _shift, "head": lambda q: Point((q.value(0),), 1)}
+    return sort, model.universe(sort) + tuple(
+        table_value({q: image(q) for q in points}, generic.branch, label=label)
+        for label, image in tables.items())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.sampled_from(range(len(_ATOM_MODELS))),
+       st.sampled_from(sorted(forcing_oracle.STAGE_ATOMS)), st.data())
+def test_every_atom_zone_is_the_per_stage_atom_at_each_element(which, name, data):
+    # the stage-free, generic, table and pure-value shortcuts of the zones
+    # each agree with the atom's definition at one stage at a time
+    model = _ATOM_MODELS[which]
+    stream, streams = _stream_values(model)
+    draw = lambda sort: (sort, data.draw(
+        st.sampled_from(streams if sort == stream else model.universe(sort))))
+    if name == "Eq":
+        sort = data.draw(st.sampled_from(("Nat", "FinSeq", stream)))
+        args = (draw(sort),)
+        args += (args[0] if data.draw(st.booleans()) else draw(sort),)
+    elif name in ("Leq", "Rel"):
+        sort = "Nat" if name == "Leq" else stream
+        args = (draw(sort), draw(sort))
+    elif name == "InBar":
+        args = (draw("FinSeq"),)
+    elif name == "Prefix":
+        args = (draw(stream), draw("FinSeq"))
+    else:
+        args = (draw(stream), draw("Nat"), draw("Nat"))
+    names = tuple(f"x{i}" for i in range(len(args)))
+    node = Atom(name, tuple(map(Name, names)))
+    atom = forcing_oracle.STAGE_ATOMS[name]
+    expected = _outcome(lambda: frozenset(
+        s for s in model.space.basis.elements if atom(model, s, args)))
+    got = _outcome(lambda: _atom_zone(_Run(model, None), node, dict(zip(names, args))))
+    assert got == expected, (name, args)
+
+
+def test_a_partial_table_raises_at_the_first_demand_of_its_atom():
+    # an atom's zone reads the table at every point of the index, so a
+    # missing image raises even at a stage whose own point has one, where
+    # the per-stage definition answers
+    dbl = _double()
+    model = standard_model(dbl)
+    points = model.points_through(dbl.d(()))
+    kept = dbl.points[0]
+    missing = next(q for q in points if q != kept)
+    partial = table_value({q: q for q in points if q != missing}, 2, label="partial")
+    model = with_universe_value(model, "Seq2", partial)
+    env = {"t": ("Seq2", model.universe("Seq2")[-1]), "u": ("FinSeq", kept.prefix_of(1))}
+    stage = dbl.singleton(kept)
+    assert prefix_atom(model, stage, (env["t"], env["u"]))
+    with pytest.raises(ModelError):
+        force(model, stage, parse_formula("Prefix(t, u)"), env=env)
 
 
 def _premise_models():

@@ -311,3 +311,23 @@ def test_every_topology_gives_one_kernel_and_inherits_the_cover_tests():
         if (name in vars(sub)) != wanted
     ]
     assert kinds and forks == []
+
+
+def test_forcing_answers_every_atom_with_a_zone():
+    # one path: every clause but a conjunction is one set per (node, env);
+    # the per-stage atoms live on only as the oracle's definitions
+    tree = _tree(PACKAGE / "forcing.py")
+    functions = {stmt.name: stmt for stmt in tree.body if isinstance(stmt, ast.FunctionDef)}
+    assigned = {
+        target.id
+        for stmt in tree.body if isinstance(stmt, (ast.Assign, ast.AnnAssign))
+        for target in (stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target])
+        if isinstance(target, ast.Name)
+    }
+    assert "ATOMS" not in assigned | set(functions)
+    assert [name for name in functions if name.endswith("_atom")] == []
+    comprehensions = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+    assert not any(isinstance(node, comprehensions) for node in ast.walk(functions["_evaluate"]))
+    # the classical oracle of force-many shares no code with the zones
+    named = {node.id for node in ast.walk(functions["classical_truth"]) if isinstance(node, ast.Name)}
+    assert named.isdisjoint({"_atom_zone", "_forced"})
