@@ -59,6 +59,7 @@ from __future__ import annotations
 import itertools
 import operator
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from typing import Mapping
 
 from .site import FormalSpace, NotACover, Sieve, element_key
@@ -157,6 +158,11 @@ class ForcingModel:
 
     def points_through(self, stage) -> tuple:
         return self.through.get(stage, ())
+
+    @cached_property
+    def index_points(self) -> tuple:
+        """Every point through some stage, once, in the order ``through`` lists them."""
+        return tuple(dict.fromkeys(q for through in self.through.values() for q in through))
 
 
 def point_observation(model: ForcingModel, point: Point, branch: int) -> frozenset:
@@ -435,8 +441,7 @@ def _atom_zone(run: _Run, node: F.Atom, env: dict) -> frozenset:
             run, (value,), lambda members: any(len(w) > n and w[n] == m for w in members)))
     elif name == "Rel":
         v1, v2 = _rel_args(model, args)
-        points = dict.fromkeys(q for through in model.through.values() for q in through)
-        wrong = {q for q in points if not _rel_at(model, v1, v2, q)}
+        wrong = {q for q in model.index_points if not _rel_at(model, v1, v2, q)}
         return frozenset(v for v in model.space.basis.elements
                          if wrong.isdisjoint(model.points_through(v)))
     else:

@@ -10,7 +10,21 @@ forcing interpreter all arise from one construction.
 A zone is down-closed and cover-closed, so restricting to ``b`` needs no
 cover test: each zone meets the down-set of ``b`` in the new zone.  That set
 is cover-closed, since what it covers the old zone covers by transitivity of
-the topology, which every ``FormalSpace`` here has.
+the topology, which every ``FormalSpace`` here has.  Restriction reads only
+the section's pieces.  (i) If ``b`` lies below a piece ``p``, the whole
+down-set of ``b`` lies in the zone of ``p``'s value, and zones are
+disjoint, so the restriction is constant there; its one piece is the first
+element of ``b``'s class.  (ii) Otherwise every piece of the restriction is
+a piece ``p <= b`` of the section, or a maximal element of the meet of the
+down-sets of ``b`` and of a piece not below ``b``.  On tree spaces and
+their doubles two down-sets meet only when one element lies below the
+other, so the second kind never occurs; random preorders have it.
+
+Zones are held as bit masks over the basis's canonical order
+(``Basis.bits``).  A zone's pieces are found by walking it from its lowest
+bit and dropping the down-set of each element reached; on tree spaces and
+doubles canonical order lists every open before those below it, so the
+walk reaches exactly the pieces.
 
 A presheaf's sections need no cover test either.  Its atoms cover the root
 ``a``, so their sieve cut down to any ``w`` below ``a`` covers ``w``; call the
@@ -30,7 +44,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, Mapping
 
-from .site import Basis, CoveringSystem, FormalSpace, Sieve, element_key, sieves_on
+from .site import Basis, BitIndex, CoveringSystem, FormalSpace, Sieve, element_key, sieves_on
 from .points import Point
 from .spaces import TruncatedSpace, all_sequences, bracket
 from .double import DOpen, DoubleSpace, SingletonOpen
@@ -68,32 +82,38 @@ class NatSection:
         return f"<section@{self.root!r} {body}>"
 
 
-def _from_zones(basis: Basis, root, zones: Mapping) -> NatSection:
-    """The section on ``root`` holding each value on its zone.
+def _from_zones(index: BitIndex, root, zones: Mapping) -> NatSection:
+    """The section on ``root`` holding each value on its zone, a bit mask.
 
     Zones are down-closed and pairwise disjoint; the pieces are each zone's
-    maximal elements, the first in canonical order of each class.  One walk
-    of ``down(root)`` in canonical order finds them already sorted.
+    maximal elements, the first in canonical order of each class.  Each zone
+    is walked from its lowest bit, and the down-set of every element reached
+    is dropped from the rest of the walk: an element below one reached
+    earlier is neither maximal nor the first of its class, so an element
+    reached is the first of its class in the zone, and a piece exactly when
+    nothing of the zone above it lies outside its down-set.
     """
-    value_of = {w: value for value, zone in zones.items() for w in zone}
-    pieces = []
-    seen: set = set()
-    for w in basis.down(root):
-        if w in value_of:
-            value = value_of[w]
-            above = zones[value].intersection(basis.up(w))
-            # a piece is maximal in its zone and the first of its class there
-            if above <= basis.below(w) and seen.isdisjoint(above):
-                pieces.append((w, value))
-            seen.add(w)
-    return NatSection(root, tuple(pieces))
+    down, up = index.down, index.up
+    found = {}
+    for value, zone in zones.items():
+        rest = zone
+        while rest:
+            i = (rest & -rest).bit_length() - 1
+            if not zone & up[i] & ~down[i]:
+                found[i] = value
+            rest &= ~down[i]
+    elements = index.elements
+    return NatSection(root, tuple((elements[i], found[i]) for i in sorted(found)))
 
 
 def make_section(space: FormalSpace, root, assignments) -> NatSection:
     """Canonicalize an assignment of values to opens below ``root``.
 
     The zone of a value is everything covered by the opens carrying it; the
-    zones must be pairwise disjoint and jointly cover the root.
+    zones must be pairwise disjoint and jointly cover the root.  A zone is
+    read off one ``Topology.covered`` of the value's sieve: an element's
+    entry there depends only on the sieve's part below it, which is the
+    stability lemma.
     """
     basis = space.basis
     basis.require(root)
@@ -111,20 +131,23 @@ def make_section(space: FormalSpace, root, assignments) -> NatSection:
     if not space.topology.cover(root, Sieve.from_generators(basis, root, all_gens)).covered:
         raise NotASection(f"assigned opens do not cover {root!r}")
 
+    index = basis.bits
+    root_down = index.down[index.pos[root]]
     zones: dict = {}
-    value_of: dict = {}
+    taken = 0
     for value in sorted(gens_by_value, key=element_key):
         full = Sieve.from_generators(basis, root, gens_by_value[value])
-        zone = zones[value] = set()
-        for w in basis.down(root):
-            if space.topology.cover(w, full.restrict(w)).covered:
-                if w in value_of:
-                    raise IncompatibleAssignment(
-                        f"{w!r} lies in the zones of {value_of[w]!r} and {value!r}"
-                    )
-                value_of[w] = value
-                zone.add(w)
-    return _from_zones(basis, root, zones)
+        zone = index.mask(space.topology.covered(full.members)) & root_down
+        clash = zone & taken
+        if clash:
+            i = (clash & -clash).bit_length() - 1
+            earlier = next(v for v, z in zones.items() if z >> i & 1)
+            raise IncompatibleAssignment(
+                f"{index.elements[i]!r} lies in the zones of {earlier!r} and {value!r}"
+            )
+        zones[value] = zone
+        taken |= zone
+    return _from_zones(index, root, zones)
 
 
 def value_at(space: FormalSpace, section: NatSection, x):
@@ -137,21 +160,29 @@ def value_at(space: FormalSpace, section: NatSection, x):
 
 
 def restrict_section(space: FormalSpace, section: NatSection, b) -> NatSection:
-    """The section cut down to ``b``, with no cover test.
+    """The section cut down to ``b``, with no cover test, from its pieces alone.
 
     Each value's zone, the union of its pieces' down-sets, meets the down-set
-    of ``b`` in a set that is cover-closed by transitivity: the new zone.
+    of ``b`` in a set that is cover-closed by transitivity: the new zone.  A
+    piece above ``b`` makes the restriction constant (the module lemma).
     """
-    basis = space.basis
-    below_b = basis.below(b)
-    if b not in basis.below(section.root):
+    index = space.basis.bits
+    at = index.at(b)
+    down = index.down
+    if not down[index.at(section.root)] >> at & 1:
         raise ValueError(f"{b!r} is not below the section root {section.root!r}")
+    pos = index.pos
+    below_b = down[at]
     zones: dict = {}
     for elem, val in section.pieces:
-        part = basis.below(elem) & below_b
+        below_elem = down[pos[elem]]
+        if below_elem >> at & 1:
+            first = below_b & index.up[at]
+            return NatSection(b, ((index.elements[(first & -first).bit_length() - 1], val),))
+        part = below_elem & below_b
         if part:
-            zones[val] = zones.get(val, frozenset()) | part
-    return _from_zones(basis, b, zones)
+            zones[val] = zones.get(val, 0) | part
+    return _from_zones(index, b, zones)
 
 
 class ConstantPresheaf:
@@ -182,19 +213,21 @@ class ConstantPresheaf:
         if got is not None:
             return got
         basis = self.space.basis
-        atom_downs = [basis.below(t) for t in self.atoms(a)]
-        reach = [
-            (w, tuple(i for i, d in enumerate(atom_downs) if not d.isdisjoint(basis.below(w))))
-            for w in basis.down(a)
-        ]
+        index = basis.bits
+        down, pos = index.down, index.pos
+        atom_downs = [down[pos[t]] for t in self.atoms(a)]
+        reach = []
+        for w in basis.down(a):
+            i = pos[w]
+            reach.append((1 << i, tuple(k for k, d in enumerate(atom_downs) if d & down[i])))
         out = []
         for combo in itertools.product(self.values, repeat=len(atom_downs)):
             zones: dict = {}
-            for w, reached in reach:
+            for bit, reached in reach:
                 value = combo[reached[0]]
-                if all(combo[i] == value for i in reached[1:]):
-                    zones.setdefault(value, set()).add(w)
-            out.append(_from_zones(basis, a, zones))
+                if all(combo[k] == value for k in reached[1:]):
+                    zones[value] = zones.get(value, 0) | bit
+            out.append(_from_zones(index, a, zones))
         got = tuple(out)
         self._sections[a] = got
         return got

@@ -77,7 +77,9 @@ class Basis:
     Each down-set must name only elements and hold its own element; the
     sets must also be transitive, which the constructors that build them
     guarantee.  Every order question (``leq``, ``down``, ``up``,
-    ``disjoint``) is a lookup in these sets.
+    ``disjoint``) is a lookup in these sets.  ``bits`` reads the same order
+    as int masks; a basis builds it only when asked, which only the sheaf
+    layer does.
     """
 
     def __init__(self, below: Mapping[Element, Iterable[Element]]):
@@ -156,6 +158,48 @@ class Basis:
             self.require(a)
             got = tuple(v for v in self._elements if a in self.below(v))
             self._up[a] = got
+        return got
+
+    @cached_property
+    def bits(self) -> "BitIndex":
+        """The order as bit masks, built on first use."""
+        return BitIndex(self)
+
+
+class BitIndex:
+    """A basis's order as int bit masks, bit ``i`` for its ``i``-th element.
+
+    ``pos`` gives each element's position in canonical order, and ``down``
+    and ``up`` hold, by position, the masks of the elements below and above
+    it, so set algebra on the order is int arithmetic and the lowest bit of
+    a mask is its first element in canonical order.
+    """
+
+    __slots__ = ("elements", "pos", "down", "up")
+
+    def __init__(self, basis: Basis):
+        self.elements = basis.elements
+        pos = self.pos = {a: i for i, a in enumerate(self.elements)}
+        down = self.down = [0] * len(pos)
+        up = self.up = [0] * len(pos)
+        for i, a in enumerate(self.elements):
+            for v in basis.below(a):
+                j = pos[v]
+                down[i] |= 1 << j
+                up[j] |= 1 << i
+
+    def at(self, a: Element) -> int:
+        """The position of ``a``."""
+        try:
+            return self.pos[a]
+        except KeyError:
+            raise UnknownElement(a) from None
+
+    def mask(self, elems: Iterable[Element]) -> int:
+        pos = self.pos
+        got = 0
+        for a in elems:
+            got |= 1 << pos[a]
         return got
 
 

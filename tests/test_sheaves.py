@@ -45,6 +45,7 @@ from sheafbench.site import (
     GeneratedTopology,
     Sieve,
     Topology,
+    UnknownElement,
     sieves_on,
 )
 from sheafbench.spaces import all_sequences, baire_space, cantor_space
@@ -89,9 +90,13 @@ def test_make_section_rejects_partial_assignments():
 
 
 def test_make_section_rejects_overlapping_values():
+    # values in sorted order, each zone against the earlier ones: the first
+    # open of the overlap in canonical order is named
     space = cantor_space(2)
-    with pytest.raises(IncompatibleAssignment):
+    with pytest.raises(IncompatibleAssignment, match=r"^\(\) lies in the zones of 1 and 2$"):
         make_section(space, (), [((), 1), ((0, 0), 2), ((0, 1), 2), ((1,), 2)])
+    with pytest.raises(IncompatibleAssignment, match=r"^\(0, 1\) lies in the zones of 1 and 2$"):
+        make_section(space, (), [((0,), 2), ((1,), 3), ((0, 1), 1), ((1, 0), 1)])
 
 
 def test_value_at_reads_germs():
@@ -373,6 +378,28 @@ def test_restrict_section_rejects_an_open_outside_the_root():
         restrict_section(space, left, (1,))
     with pytest.raises(ValueError):
         restrict_section(space, left, ())
+
+
+def test_restrict_section_rejects_an_unknown_open_before_asking_the_root():
+    # an unknown open is outside every root too: the unknown element is named
+    space = cantor_space(2)
+    left = restrict_section(space, _leaf_section(space, {(0, 0): 1, (0, 1): 4, (1, 0): 2, (1, 1): 3}), (0,))
+    for b in ((2,), (0, 0, 0)):
+        with pytest.raises(UnknownElement):
+            restrict_section(space, left, b)
+
+
+def test_restriction_below_a_piece_is_the_first_open_of_the_class():
+    # x and y lie below each other and below the piece p; canonical order
+    # lists the root r after p and q, so it is not top-down
+    basis = Basis({"r": "rpqxyz", "p": "pxyz", "q": "q", "x": "xyz", "y": "xyz", "z": "z"})
+    system = CoveringSystem(basis, {"r": [("p", "q")], **{a: [(a,)] for a in "pqxyz"}})
+    space = FormalSpace(basis, generate_topology(system), system)
+    sec = make_section(space, "r", [("p", 1), ("q", 2)])
+    assert sec.pieces == (("p", 1), ("q", 2))
+    for b, first in (("x", "x"), ("y", "x"), ("z", "z"), ("p", "p")):
+        got = restrict_section(space, sec, b)
+        assert got == NatSection(b, ((first, 1),)) == restrict_by_covers(space, sec, b)
 
 
 @functools.cache
@@ -688,4 +715,5 @@ def test_one_walk_canonicalizer_matches_the_per_value_walk(seed, size, data):
             zones.setdefault(here.pop(), set()).add(w)
     order = data.draw(st.permutations(list(zones)))
     zones = {value: frozenset(zones[value]) for value in order}
-    assert sheaves._from_zones(basis, root, zones) == from_zones_per_value(basis, root, zones)
+    masks = {value: basis.bits.mask(zone) for value, zone in zones.items()}
+    assert sheaves._from_zones(basis.bits, root, masks) == from_zones_per_value(basis, root, zones)

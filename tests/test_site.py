@@ -212,6 +212,44 @@ def test_order_and_sieves_match_the_raw_relation(order, data):
             assert basis.disjoint(x, y) == (not any(leq(z, x) and leq(z, y) for z in labels))
 
 
+def _bits_of(basis, mask):
+    return tuple(v for i, v in enumerate(basis.elements) if mask >> i & 1)
+
+
+def _tree_and_double_bases():
+    trees = [cantor_space(d) for d in range(4)] + [baire_space(3, d) for d in range(3)]
+    doubles = [build_double(t, eventually_constant_points(t.branch, 1)) for t in trees]
+    return [space.basis for space in trees + doubles]
+
+
+@settings(max_examples=200)
+@given(st.integers(0, 2 ** 32 - 1), st.integers(1, 9), st.booleans(), st.data())
+def test_the_bit_index_reads_the_order_of_preorders_trees_and_doubles(seed, size, tree, data):
+    # random preorders have equivalent elements and no top-down canonical
+    # order; tree spaces and doubles list every open before those below it
+    if tree:
+        basis = data.draw(st.sampled_from(_tree_and_double_bases()))
+    else:
+        basis = random_preorder(random.Random(seed), size)
+    index = basis.bits
+    assert basis.bits is index
+    assert index.elements == basis.elements
+    assert [index.at(x) for x in basis.elements] == list(range(len(basis)))
+    for i, x in enumerate(basis.elements):
+        assert _bits_of(basis, index.down[i]) == basis.down(x)
+        assert _bits_of(basis, index.up[i]) == basis.up(x)
+        assert index.mask(basis.below(x)) == index.down[i]
+    with pytest.raises(UnknownElement):
+        index.at("not an element")
+
+
+def test_a_basis_builds_its_bit_index_only_when_asked():
+    basis = cantor_space(2).basis
+    basis.down(())
+    assert "bits" not in vars(basis)
+    assert basis.bits.down[0] == 2 ** len(basis) - 1
+
+
 def test_restrict_unknown_element_raises():
     space = cantor_space(2)
     s = Sieve.maximal(space.basis, ())

@@ -331,3 +331,26 @@ def test_forcing_answers_every_atom_with_a_zone():
     # the classical oracle of force-many shares no code with the zones
     named = {node.id for node in ast.walk(functions["classical_truth"]) if isinstance(node, ast.Name)}
     assert named.isdisjoint({"_atom_zone", "_forced"})
+
+
+def test_restriction_reads_the_pieces_and_not_the_down_set():
+    # restricting a section reads its pieces' masks; walking the down-set of
+    # the new root would cost the whole fragment on every restriction
+    tree = _tree(PACKAGE / "sheaves.py")
+    restrict = next(stmt for stmt in tree.body
+                    if isinstance(stmt, ast.FunctionDef) and stmt.name == "restrict_section")
+    called = [_called_name(node.func) for node in ast.walk(restrict) if isinstance(node, ast.Call)]
+    assert "_from_zones" in called and "down" not in called
+
+
+# (module, top-level definition) allowed to build a basis's bit index
+BITS_READERS = {
+    ("sheaves.py", "ConstantPresheaf"): "sections as zone masks read off atom assignments",
+    ("sheaves.py", "make_section"): "zone masks of covered sets, canonicalized",
+    ("sheaves.py", "restrict_section"): "the pieces' down-set masks met with the new root's",
+}
+
+
+def test_only_the_sheaf_layer_builds_the_bit_index():
+    # the workloads that never reach the sheaf layer never pay for the index
+    assert _readers("bits", sorted(PACKAGE.glob("*.py"))) == sorted(BITS_READERS)
