@@ -363,7 +363,7 @@ def _zone(run: _Run, node, env: dict):
     elif isinstance(node, (F.Exists, F.Forall)):
         universe = model.universe(node.sort)
         wanted = isinstance(node, F.Exists)
-        first, pending = {}, everywhere
+        got, pending = {}, everywhere
         inner_env = dict(env)
         for c in universe:
             if not pending:
@@ -372,9 +372,8 @@ def _zone(run: _Run, node, env: dict):
             held = _holds(run, pending, node.body, inner_env)
             found = held if wanted else pending - held
             if found:
-                first.update(dict.fromkeys(found, c))
+                got.update(dict.fromkeys(found, c))
                 pending -= found
-        got = {v: first[v] for v in model.space.basis.elements if v in first}
     else:
         raise ModelError(f"no zone for {node!r}")
 
@@ -623,14 +622,16 @@ def classical_truth(model: ForcingModel, point: Point, formula,
 
     Stream values are observed at the point: the generic becomes the point
     itself and table maps are applied to it.  Observations are compared by
-    visible members, exactly as the forcing atoms do.
+    visible members, exactly as the forcing atoms do.  As in the
+    connectives and in forcing's quantifier loop, a quantifier stops at its
+    first deciding value (a witness or a counterexample), so a body the
+    model can interpret only up to that value gives forcing's verdict, not
+    :class:`ModelError`.
     """
-    env = dict(env or {})
-
     def obs_members(value: SectionValue) -> frozenset:
         return point_observation(model, observe(model, value, point), value.branch)
 
-    def atom(node: F.Atom) -> bool:
+    def atom(node: F.Atom, env) -> bool:
         args = tuple(eval_term(model, env, t) for t in node.args)
         name = node.name
         if name == "Eq":
@@ -652,33 +653,24 @@ def classical_truth(model: ForcingModel, point: Point, formula,
             return _in_bar(model, args)
         raise ModelError(f"unknown atom {name!r}")
 
-    def ev(node) -> bool:
+    def ev(node, env) -> bool:
         if isinstance(node, F.Falsum):
             return False
         if isinstance(node, F.Atom):
-            return atom(node)
+            return atom(node, env)
         if isinstance(node, F.And):
-            return ev(node.left) and ev(node.right)
+            return ev(node.left, env) and ev(node.right, env)
         if isinstance(node, F.Or):
-            return ev(node.left) or ev(node.right)
+            return ev(node.left, env) or ev(node.right, env)
         if isinstance(node, F.Implies):
-            return (not ev(node.left)) or ev(node.right)
+            return (not ev(node.left, env)) or ev(node.right, env)
         if isinstance(node, (F.Exists, F.Forall)):
-            universe = model.universe(node.sort)
-            missing = object()
-            shadowed = env.get(node.var, missing)
-            results = []
-            for c in universe:
-                env[node.var] = (node.sort, c)
-                results.append(ev(node.body))
-            if shadowed is missing:
-                env.pop(node.var, None)
-            else:
-                env[node.var] = shadowed
-            return any(results) if isinstance(node, F.Exists) else all(results)
+            quantify = any if isinstance(node, F.Exists) else all
+            return quantify(ev(node.body, {**env, node.var: (node.sort, c)})
+                            for c in model.universe(node.sort))
         raise ModelError(f"not a formula: {node!r}")
 
-    return ev(formula)
+    return ev(formula, env or {})
 
 
 # ------------------------------------------------------------- cc_refine

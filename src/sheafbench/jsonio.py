@@ -257,11 +257,9 @@ def jsonable(obj):
         rendered = [jsonable(x) for x in obj]
         return sorted(rendered, key=lambda r: json.dumps(r, sort_keys=True))
     if isinstance(obj, Mapping):
-        rendered = {}
-        for key, value in obj.items():
-            name = key if isinstance(key, str) else json.dumps(jsonable(key))
-            rendered[name] = jsonable(value)
-        return dict(sorted(rendered.items()))
+        # keys are sorted once, when the report is written (dump_report)
+        return {key if isinstance(key, str) else json.dumps(jsonable(key)): jsonable(value)
+                for key, value in obj.items()}
     if isinstance(obj, BaseException):
         return {"error": type(obj).__name__, "detail": str(obj)}
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):

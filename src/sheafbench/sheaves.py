@@ -558,12 +558,8 @@ def section_to_map(presheaf: ConstantPresheaf, section: NatSection) -> Continuou
     space = presheaf.space
     src = slice_space(space, section.root)
     tgt = discrete_space(presheaf.values)
-    pairs = {
-        (x, value_at(space, section, x))
-        for x in src.basis.elements
-        if value_at(space, section, x) is not None
-    }
-    return ContinuousMap(src, tgt, frozenset(pairs))
+    values = ((x, value_at(space, section, x)) for x in src.basis.elements)
+    return ContinuousMap(src, tgt, frozenset((x, v) for x, v in values if v is not None))
 
 
 def map_to_section(presheaf: ConstantPresheaf, root, fmap: ContinuousMap) -> NatSection:

@@ -197,17 +197,13 @@ def fan_suite(seed: int = 0, samples: int = 50, max_depth: int = 5) -> SuiteResu
 
 
 def _inductive_completion(space, bar: Bar) -> Bar:
-    holds = {u for u in space.basis.elements if bar.holds(u)}
-    changed = True
-    while changed:
-        changed = False
-        for u in space.basis.elements:
-            if u in holds or len(u) >= space.depth:
-                continue
-            if all(u + (i,) in holds for i in range(space.branch)):
-                holds.add(u)
-                changed = True
-    return Bar(space, frozenset(holds).__contains__, monotone=True, inductive=True)
+    elements = space.basis.elements
+    child_rules = tuple(
+        ([u + (i,) for i in range(space.branch)], u)
+        for u in elements if len(u) < space.depth
+    )
+    holds = inductive_close(InductiveDefinition(elements, child_rules), filter(bar.holds, elements))
+    return Bar(space, holds.__contains__, monotone=True, inductive=True)
 
 
 def bar_suite(seed: int = 0, samples: int = 20, branch: int = 2, depth: int = 4) -> SuiteResult:

@@ -246,6 +246,19 @@ def test_singleton_forcing_is_truth_and_formulas_round_trip(seed):
         assert force(model, dbl.singleton(q), phi) == classical_truth(model, q, phi), phi
 
 
+@pytest.mark.parametrize("text, verdict", [
+    ("exists n:Nat. Leq(n, 0) | Eq(n, pi)", True),
+    ("forall n:Nat. Leq(1, n) & Eq(n, pi)", False),
+])
+def test_truth_stops_a_quantifier_at_its_deciding_value_as_forcing_does(text, verdict):
+    # the body is ill-sorted at every value past the first, which decides
+    dbl, model = _DEPTH3
+    phi = parse_formula(text)
+    for q in dbl.points:
+        assert force(model, dbl.singleton(q), phi) == verdict
+        assert classical_truth(model, q, phi) == verdict
+
+
 def _stream(branch, max_entry=None):
     entry = st.integers(0, branch - 1 if max_entry is None else max_entry)
     return st.builds(Point, st.lists(entry, max_size=4).map(tuple), entry)
